@@ -5,7 +5,6 @@
 
 #include "data/log_io.h"
 #include "stream/alerts.h"
-#include "util/simd.h"
 
 namespace tsufail::serve {
 namespace {
@@ -112,9 +111,7 @@ bool Connection::feed(std::string_view bytes, std::string& out) {
   if (close_) return false;
   std::size_t pos = 0;
   while (pos < bytes.size() && !close_) {
-    // SIMD block scan (32 bytes per probe on AVX2); same npos semantics
-    // as string_view::find.
-    std::size_t newline = simd::find_byte(bytes, '\n', pos);
+    const std::size_t newline = bytes.find('\n', pos);
     std::string_view chunk =
         bytes.substr(pos, newline == std::string_view::npos ? newline : newline - pos);
     const bool complete = newline != std::string_view::npos;

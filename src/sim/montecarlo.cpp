@@ -64,7 +64,7 @@ Result<std::vector<MetricAggregate>> aggregate_metrics(
     aggregate.stddev = stats::stddev(sample);
     Rng rng(aggregate_seed(options.base_seed, variant, m));
     auto ci = stats::bootstrap_mean_ci(sample, rng, options.bootstrap_replicates,
-                                       options.ci_level);
+                                       options.ci_level, options.jobs);
     if (!ci.ok()) return ci.error().with_context("aggregate '" + aggregate.name + "'");
     aggregate.mean_ci = ci.value();
     aggregates.push_back(std::move(aggregate));

@@ -23,7 +23,8 @@
 //
 //   * Cross-replicate aggregates.  Per metric: mean, sample stddev, and
 //     a percentile-bootstrap CI of the mean from the deterministic
-//     sharded stats::bootstrap_ci (same bounds at any thread count).
+//     sharded stats::bootstrap_ci, whose replicate shards run on the same
+//     `jobs` workers (same bounds at any thread count).
 #pragma once
 
 #include <cstdint>
@@ -75,9 +76,10 @@ struct SweepVariant {
 struct SweepOptions {
   std::uint64_t base_seed = 1;
   std::size_t replicates = 10;  ///< seeds per variant
-  /// Worker threads across (variant, replicate) cells: 1 = serial on the
-  /// calling thread, 0 = one per hardware thread.  Results are
-  /// bit-identical for every value.
+  /// Worker threads across (variant, replicate) cells and across each
+  /// aggregate bootstrap's replicate shards: 1 = serial on the calling
+  /// thread, 0 = one per hardware thread.  Results are bit-identical for
+  /// every value.
   std::size_t jobs = 1;
   /// Keep the full per-replicate StudyReport (markdown-ready layer).
   /// Off by default: aggregate-only sweeps skip materializing it.

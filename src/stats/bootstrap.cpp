@@ -1,14 +1,11 @@
 #include "stats/bootstrap.h"
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <thread>
 #include <vector>
 
 #include "stats/descriptive.h"
-#include "stats/kernels.h"
-#include "stats/simd.h"
 
 namespace tsufail::stats {
 namespace {
@@ -16,14 +13,6 @@ namespace {
 /// Replicates per RNG shard.  The shard partition is a function of
 /// `replicates` alone, so the same draws happen at any thread count.
 constexpr std::size_t kShardSize = 128;
-
-/// Shards per work unit: one per 64-bit lane of the stats::simd
-/// multi-lane engine, so a single vectorized fill advances four shard
-/// streams at once.  The grouping is the same at every dispatch level
-/// (scalar dispatch just steps the four columns in a scalar loop), so it
-/// changes which statistic call runs when — never which indices a shard
-/// draws or which slot its statistic lands in.
-constexpr std::size_t kLaneCount = simd::XoshiroLanes::kLanes;
 
 }  // namespace
 
@@ -43,68 +32,37 @@ Result<ConfidenceInterval> bootstrap_ci(
   ci.level = level;
 
   // Advance the caller's generator once so consecutive calls differ, then
-  // fork one child stream per shard off the advanced state (XoshiroLanes
-  // seeds lane L of group G from fork(G * kLaneCount + L), exactly the
-  // fork the scalar per-shard loop used).
+  // fork one child stream per shard off the advanced state.
   rng();
   const std::size_t n = sample.size();
   const std::size_t shard_count = (replicates + kShardSize - 1) / kShardSize;
-  const std::size_t group_count = (shard_count + kLaneCount - 1) / kLaneCount;
 
   std::vector<double> replicate_stats(replicates);
-  // Per-replicate fill is split draw-then-gather: the four shard streams
-  // of a group advance in lockstep (one vectorized fill per replicate
-  // row), each lane's draw sequence bit-identical to calling
-  // uniform_index on its fork directly, then the value movement is a
-  // contiguous gather per lane.  Same indices per shard, same statistic
-  // slot per replicate — bit-identical resamples and CI bounds.
-  struct GroupScratch {
-    std::array<std::vector<std::uint32_t>, kLaneCount> indices;
-    std::vector<double> resample;
-    explicit GroupScratch(std::size_t n) : resample(n) {
-      for (auto& buf : indices) buf.resize(n);
-    }
-  };
-  const auto run_group = [&](std::size_t group, GroupScratch& scratch) {
-    simd::XoshiroLanes lanes(rng, group * kLaneCount);
-    std::uint32_t* outs[kLaneCount];
-    std::size_t lane_rows[kLaneCount];
-    std::size_t rows = 0;
-    for (std::size_t lane = 0; lane < kLaneCount; ++lane) {
-      outs[lane] = scratch.indices[lane].data();
-      const std::size_t begin = (group * kLaneCount + lane) * kShardSize;
-      lane_rows[lane] = begin < replicates ? std::min(kShardSize, replicates - begin) : 0;
-      rows = std::max(rows, lane_rows[lane]);
-    }
-    for (std::size_t row = 0; row < rows; ++row) {
-      // Lanes already past their shard's last replicate keep drawing in
-      // lockstep; those draws are discarded and the stream is never read
-      // again, so finished lanes cannot perturb any result.
-      lanes.fill_indices(n, n, outs);
-      for (std::size_t lane = 0; lane < kLaneCount; ++lane) {
-        if (row >= lane_rows[lane]) continue;
-        gather_into(sample, scratch.indices[lane], scratch.resample);
-        replicate_stats[(group * kLaneCount + lane) * kShardSize + row] =
-            statistic(scratch.resample);
-      }
+  const auto run_shard = [&](std::size_t shard, std::vector<double>& resample) {
+    Rng shard_rng = rng.fork(shard);
+    const std::size_t begin = shard * kShardSize;
+    const std::size_t end = std::min(begin + kShardSize, replicates);
+    for (std::size_t r = begin; r < end; ++r) {
+      for (double& x : resample) x = sample[shard_rng.uniform_index(n)];
+      replicate_stats[r] = statistic(resample);
     }
   };
 
   std::size_t workers = jobs == 0 ? std::max(1u, std::thread::hardware_concurrency()) : jobs;
-  workers = std::min(workers, group_count);
+  workers = std::min(workers, shard_count);
   if (workers <= 1) {
-    GroupScratch scratch(n);
-    for (std::size_t group = 0; group < group_count; ++group) run_group(group, scratch);
+    std::vector<double> resample(n);
+    for (std::size_t shard = 0; shard < shard_count; ++shard) run_shard(shard, resample);
   } else {
-    std::atomic<std::size_t> next_group{0};
+    std::atomic<std::size_t> next_shard{0};
     std::vector<std::thread> threads;
     threads.reserve(workers);
     for (std::size_t w = 0; w < workers; ++w) {
       threads.emplace_back([&] {
-        GroupScratch scratch(n);
-        for (std::size_t group = next_group.fetch_add(1); group < group_count;
-             group = next_group.fetch_add(1)) {
-          run_group(group, scratch);
+        std::vector<double> resample(n);
+        for (std::size_t shard = next_shard.fetch_add(1); shard < shard_count;
+             shard = next_shard.fetch_add(1)) {
+          run_shard(shard, resample);
         }
       });
     }

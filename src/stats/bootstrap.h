@@ -29,10 +29,9 @@ struct ConfidenceInterval {
 
 /// Percentile-bootstrap CI of an arbitrary statistic.
 /// `statistic` must accept any resample of the original length, and must
-/// be a pure function of its argument: shards run four per multi-lane
-/// RNG group, so statistic calls interleave across shards (and run
-/// concurrently when jobs != 1) — only the per-replicate result slot is
-/// guaranteed, not the call order.
+/// be a pure function of its argument: shards run concurrently when
+/// jobs != 1, so only the per-replicate result slot is guaranteed, not
+/// the call order.
 /// `jobs` shards the replicate loop across worker threads: 1 (default)
 /// stays on the calling thread, 0 uses one worker per hardware thread;
 /// the bounds are identical for every value.

@@ -1,13 +1,13 @@
 // Vectorization-friendly primitive kernels shared by the hot analysis
-// paths (ECDF/KS scans, TBF deltas, index gathers, bootstrap resampling).
+// paths (ECDF/KS scans, TBF deltas, index gathers).
 //
 // Each kernel restructures a loop that used to live inline in one
-// consumer — push_back accumulation, branchy merges, fused random-draw +
-// gather — into a branch-light pass over contiguous slices that the
-// auto-vectorizer can handle, while producing bit-identical doubles:
-// every arithmetic operation happens in the same order with the same
-// operands as the scalar loop it replaced, so the golden report
-// snapshots and the differential oracle's ULP tiers stay green.
+// consumer — push_back accumulation, branchy merges — into a branch-light
+// pass over contiguous slices that the auto-vectorizer can handle, while
+// producing bit-identical doubles: every arithmetic operation happens in
+// the same order with the same operands as the scalar loop it replaced,
+// so the golden report snapshots and the differential oracle's ULP tiers
+// stay green.
 // bench_perf_kernels reports single-core elements/s for each.
 #pragma once
 
@@ -23,15 +23,10 @@ namespace tsufail::stats {
 std::vector<double> adjacent_deltas(std::span<const double> values);
 
 /// out[i] = values[indices[i]].  The index-gather behind hours_of /
-/// ttr_of and the bootstrap resample fill.  Precondition: every index is
-/// in range (callers index validated position spans).
+/// ttr_of.  Precondition: every index is in range (callers index
+/// validated position spans).
 std::vector<double> gather(std::span<const double> values,
                            std::span<const std::uint32_t> indices);
-
-/// In-place variant writing into a caller-owned slice of size
-/// indices.size() — lets resampling loops recycle one buffer.
-void gather_into(std::span<const double> values, std::span<const std::uint32_t> indices,
-                 std::span<double> out);
 
 /// Kolmogorov-Smirnov distance sup_x |F_a(x) - F_b(x)| between the
 /// empirical CDFs of two ascending-sorted samples, via one linear merge

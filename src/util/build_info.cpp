@@ -1,7 +1,5 @@
 #include "util/build_info.h"
 
-#include "util/simd.h"
-
 #ifndef TSUFAIL_VERSION
 #define TSUFAIL_VERSION "unknown"
 #endif
@@ -20,7 +18,6 @@ const BuildInfo& build_info() noexcept {
       __VERSION__,
       TSUFAIL_BUILD_TYPE,
       TSUFAIL_BUILD_FLAGS,
-      simd::level_name(simd::supported_level()),
   };
   return info;
 }
@@ -31,8 +28,6 @@ std::string build_info_text() {
   out += "compiler:   " + info.compiler + "\n";
   out += "build type: " + info.build_type + "\n";
   out += "flags:      " + info.flags + "\n";
-  out += "simd:       " + std::string(simd::level_name(simd::active_level())) +
-         " dispatch (max supported: " + info.simd_supported + ")\n";
   return out;
 }
 

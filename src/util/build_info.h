@@ -11,20 +11,16 @@
 namespace tsufail::util {
 
 struct BuildInfo {
-  std::string project;         ///< "tsufail <version>"
-  std::string compiler;        ///< the compiler's own __VERSION__ string
-  std::string build_type;      ///< CMAKE_BUILD_TYPE ("Release", ...)
-  std::string flags;           ///< CXX flags for that configuration
-  std::string simd_supported;  ///< best SIMD level this binary+CPU can run
+  std::string project;     ///< "tsufail <version>"
+  std::string compiler;    ///< the compiler's own __VERSION__ string
+  std::string build_type;  ///< CMAKE_BUILD_TYPE ("Release", ...)
+  std::string flags;       ///< CXX flags for that configuration
 };
 
-/// The one instance, filled at compile time from CMake definitions (the
-/// SIMD support field is probed once via CPUID on first call).
+/// The one instance, filled at compile time from CMake definitions.
 const BuildInfo& build_info() noexcept;
 
 /// Multi-line human-readable block (the `tsufail --version` output).
-/// Includes the live SIMD dispatch level — after a TSUFAIL_SIMD override
-/// the dispatch line reports the level actually in effect.
 std::string build_info_text();
 
 }  // namespace tsufail::util

@@ -4,18 +4,29 @@
 #include <ostream>
 #include <sstream>
 
-#include "util/simd.h"
 #include "util/strings.h"
 
 namespace tsufail {
 namespace {
 
+/// Index of the first of the four bytes at or after `pos`, or npos — a
+/// std::string_view::find_first_of without its per-byte memchr over the
+/// set.  Pass a repeated byte to search for fewer than four.
+std::size_t find_any_of4(std::string_view text, char c0, char c1, char c2, char c3,
+                         std::size_t pos) noexcept {
+  for (std::size_t i = pos; i < text.size(); ++i) {
+    const char c = text[i];
+    if (c == c0 || c == c1 || c == c2 || c == c3) return i;
+  }
+  return std::string_view::npos;
+}
+
 /// Incremental RFC-4180 tokenizer over the whole document.
 ///
-/// Structural characters (delimiter, CR, LF, quote) are located with the
-/// SIMD block scanner (util/simd.h: 16/32 bytes per probe), and the
-/// ordinary bytes between them are bulk-appended — the state machine only
-/// steps once per structural character instead of once per byte.
+/// Structural characters (delimiter, CR, LF, quote) are located with
+/// find_any_of4, and the ordinary bytes between them are bulk-appended —
+/// the state machine only steps once per structural character instead of
+/// once per byte.
 class Tokenizer {
  public:
   explicit Tokenizer(std::string_view text) : text_(text) {}
@@ -44,7 +55,7 @@ class Tokenizer {
       if (in_quotes) {
         // Inside quotes only '"' and '\n' matter (the latter for line
         // accounting); everything before the next one is field content.
-        const std::size_t hit = simd::find_any_of4(text_, '"', '\n', '"', '\n', pos_);
+        const std::size_t hit = find_any_of4(text_, '"', '\n', '"', '\n', pos_);
         if (hit == std::string_view::npos) {
           pos_ = text_.size();
           return Error(ErrorKind::kParse,
@@ -65,7 +76,7 @@ class Tokenizer {
         }
         continue;
       }
-      const std::size_t hit = simd::find_any_of4(text_, ',', '\r', '\n', '"', pos_);
+      const std::size_t hit = find_any_of4(text_, ',', '\r', '\n', '"', pos_);
       if (hit == std::string_view::npos) {
         field.append(text_, pos_, text_.size() - pos_);
         pos_ = text_.size();

@@ -5,22 +5,6 @@
 
 namespace tsufail {
 
-std::uint64_t Rng::uniform_index(std::uint64_t n) noexcept {
-  // Lemire's nearly-divisionless unbiased bounded generation.
-  std::uint64_t x = (*this)();
-  __uint128_t m = static_cast<__uint128_t>(x) * static_cast<__uint128_t>(n);
-  std::uint64_t low = static_cast<std::uint64_t>(m);
-  if (low < n) {
-    const std::uint64_t threshold = (~n + 1) % n;  // (2^64 - n) mod n
-    while (low < threshold) {
-      x = (*this)();
-      m = static_cast<__uint128_t>(x) * static_cast<__uint128_t>(n);
-      low = static_cast<std::uint64_t>(m);
-    }
-  }
-  return static_cast<std::uint64_t>(m >> 64);
-}
-
 double Rng::normal() noexcept {
   if (has_cached_normal_) {
     has_cached_normal_ = false;

@@ -66,12 +66,6 @@ class Rng {
     return result;
   }
 
-  /// The raw 256-bit engine state, word order as xoshiro256** defines it.
-  /// Exposed for the stats::simd multi-lane engine, which loads four
-  /// forked streams into vector lanes, and for tests that pin state
-  /// evolution; not useful for drawing variates directly.
-  std::array<std::uint64_t, 4> state_words() const noexcept { return state_; }
-
   /// Derives an independent child generator; `stream` selects the stream.
   /// Used to give each failure category its own reproducible stream, so
   /// adding a category never perturbs the draws of the others.
@@ -95,7 +89,22 @@ class Rng {
   }
 
   /// Uniform integer in [0, n). Precondition: n > 0. Lemire's method.
-  std::uint64_t uniform_index(std::uint64_t n) noexcept;
+  /// Defined inline: it is the bootstrap resample loop's only call.
+  std::uint64_t uniform_index(std::uint64_t n) noexcept {
+    // Lemire's nearly-divisionless unbiased bounded generation.
+    std::uint64_t x = (*this)();
+    __uint128_t m = static_cast<__uint128_t>(x) * static_cast<__uint128_t>(n);
+    std::uint64_t low = static_cast<std::uint64_t>(m);
+    if (low < n) {
+      const std::uint64_t threshold = (~n + 1) % n;  // (2^64 - n) mod n
+      while (low < threshold) {
+        x = (*this)();
+        m = static_cast<__uint128_t>(x) * static_cast<__uint128_t>(n);
+        low = static_cast<std::uint64_t>(m);
+      }
+    }
+    return static_cast<std::uint64_t>(m >> 64);
+  }
 
   /// Bernoulli trial with success probability p (clamped to [0,1]).
   bool bernoulli(double p) noexcept { return uniform() < p; }

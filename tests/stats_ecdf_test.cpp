@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include "stats/distribution.h"
+#include "stats/kernels.h"
 #include "util/rng.h"
 
 namespace tsufail::stats {
@@ -99,6 +104,82 @@ TEST(KsStatistic, SymmetricInArguments) {
   auto b = Ecdf::create(y);
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_DOUBLE_EQ(ks_statistic(a.value(), b.value()), ks_statistic(b.value(), a.value()));
+}
+
+TEST(StatsKernels, AdjacentDeltasOnSpecialValues) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kTiny = std::numeric_limits<double>::denorm_min();
+  const std::vector<double> values{1.0, kInf, kInf, std::nan(""), kTiny, 0.0, -0.0, -kInf};
+  const auto deltas = adjacent_deltas(values);
+  ASSERT_EQ(deltas.size(), values.size() - 1);
+  EXPECT_EQ(deltas[0], kInf);
+  EXPECT_TRUE(std::isnan(deltas[1]));  // inf - inf
+  EXPECT_TRUE(std::isnan(deltas[2]));
+  EXPECT_TRUE(std::isnan(deltas[3]));
+  EXPECT_EQ(deltas[4], -kTiny);  // denormal difference is exact
+  EXPECT_EQ(deltas[5], 0.0);
+  EXPECT_TRUE(std::signbit(deltas[5]));  // -0.0 - 0.0
+  EXPECT_EQ(deltas[6], -kInf);
+  EXPECT_TRUE(adjacent_deltas(std::vector<double>{}).empty());
+  EXPECT_TRUE(adjacent_deltas(std::vector<double>{kInf}).empty());
+}
+
+TEST(StatsKernels, GatherPreservesSpecialValueBits) {
+  const std::vector<double> values{std::nan("7"), -0.0, std::numeric_limits<double>::denorm_min(),
+                                   -std::numeric_limits<double>::infinity(), 42.5};
+  const std::vector<std::uint32_t> indices{4, 0, 1, 1, 3, 2, 0};
+  const auto out = gather(values, indices);
+  ASSERT_EQ(out.size(), indices.size());
+  for (std::size_t i = 0; i < indices.size(); ++i) {
+    EXPECT_EQ(0, std::memcmp(&out[i], &values[indices[i]], sizeof(double))) << i;
+  }
+  EXPECT_TRUE(gather(values, std::vector<std::uint32_t>{}).empty());
+}
+
+TEST(StatsKernels, KsDistanceOnInfinitiesDenormalsAndTies) {
+  // The merge sweep must equal the definition — the largest
+  // |F_a(x) - F_b(x)| over every sample point, each F an upper_bound
+  // count over its size — bit for bit, on samples full of infinities,
+  // denormals and tie runs.
+  const auto adversarial_sorted = [](std::size_t n, std::uint64_t seed) {
+    Rng rng(seed);
+    std::vector<double> out;
+    while (out.size() < n) {
+      const double roll = rng.uniform();
+      double v = rng.lognormal(2.0, 1.5);
+      if (roll < 0.1) {
+        v = rng.bernoulli(0.5) ? std::numeric_limits<double>::infinity()
+                               : -std::numeric_limits<double>::infinity();
+      } else if (roll < 0.2) {
+        v = std::numeric_limits<double>::denorm_min() * static_cast<double>(rng.uniform_index(5));
+      }
+      const std::size_t reps = rng.bernoulli(0.5) ? 1 + rng.uniform_index(4) : 1;
+      for (std::size_t r = 0; r < reps && out.size() < n; ++r) out.push_back(v);
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  const auto by_definition = [](const std::vector<double>& a, const std::vector<double>& b) {
+    const auto cdf = [](const std::vector<double>& s, double x) {
+      return static_cast<double>(std::upper_bound(s.begin(), s.end(), x) - s.begin()) /
+             static_cast<double>(s.size());
+    };
+    double worst = 0.0;
+    for (const auto* sample : {&a, &b}) {
+      for (const double x : *sample) worst = std::max(worst, std::abs(cdf(a, x) - cdf(b, x)));
+    }
+    return worst;
+  };
+  for (const std::size_t n : {std::size_t{1}, std::size_t{5}, std::size_t{129}}) {
+    const auto a = adversarial_sorted(n, 60 + n);
+    const auto b = adversarial_sorted(n + 37, 70 + n);
+    const double got = ks_distance_sorted(a, b);
+    const double want = by_definition(a, b);
+    EXPECT_EQ(0, std::memcmp(&got, &want, sizeof got)) << "n=" << n;
+  }
+  const std::vector<double> ties_a(64, 3.5), ties_b(17, 3.5);
+  EXPECT_EQ(ks_distance_sorted(ties_a, ties_b), 0.0);
+  EXPECT_EQ(ks_distance_sorted(std::span<const double>{}, ties_b), 0.0);
 }
 
 TEST(KsAgainstModel, ExponentialSampleMatchesItsModel) {

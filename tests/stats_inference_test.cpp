@@ -150,6 +150,48 @@ TEST(Bootstrap, MedianCiAlsoJobsInvariant) {
   EXPECT_EQ(serial.value().high, threaded.value().high);
 }
 
+TEST(Bootstrap, PinnedBoundsAtJobs1And4) {
+  // The exact interval bits, recorded once and pinned: any change to the
+  // shard partition, the per-shard fork, the draw order or the quantile
+  // rule shows up here, at replicate counts on both sides of the
+  // 128-replicate shard boundary and at jobs 1 and 4 alike.
+  struct Pin {
+    std::size_t replicates;
+    double mean_low, mean_high, median_low, median_high;
+  };
+  const Pin pins[] = {
+      {1, 0x1.fa4e083510426p+4, 0x1.fa4e083510426p+4, 0x1.5cc3df01d0c33p+4,
+       0x1.5cc3df01d0c33p+4},
+      {127, 0x1.f8d2a26b406c6p+4, 0x1.67b936bd0c562p+5, 0x1.1725d6d8d96e4p+4,
+       0x1.c3f42b5640afap+4},
+      {128, 0x1.f8ddcb0f4e10cp+4, 0x1.67b87cbd27e51p+5, 0x1.1754a3ec934acp+4,
+       0x1.c3a48779611adp+4},
+      {129, 0x1.f8689139aef4dp+4, 0x1.67b7c2bd43741p+5, 0x1.1311d226fe4dep+4,
+       0x1.c354e39c8185dp+4},
+      {1000, 0x1.f1c17ef3d0d0ap+4, 0x1.70f8fe6d54d1ep+5, 0x1.2241ca7a4ccd2p+4,
+       0x1.e6e6e4b861824p+4},
+      {1001, 0x1.f1d52f8b41744p+4, 0x1.70f89a29a209fp+5, 0x1.22431a706cadep+4,
+       0x1.e6e6e4b861824p+4},
+  };
+  Rng data_rng(61);
+  std::vector<double> sample(90);
+  for (auto& x : sample) x = data_rng.lognormal(3.2, 0.9);
+  for (const Pin& pin : pins) {
+    for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+      Rng mean_rng(67);
+      const auto mean_ci = bootstrap_mean_ci(sample, mean_rng, pin.replicates, 0.95, jobs);
+      Rng median_rng(67);
+      const auto median_ci =
+          bootstrap_median_ci(sample, median_rng, pin.replicates, 0.95, jobs);
+      ASSERT_TRUE(mean_ci.ok() && median_ci.ok());
+      EXPECT_EQ(mean_ci.value().low, pin.mean_low) << pin.replicates << " jobs=" << jobs;
+      EXPECT_EQ(mean_ci.value().high, pin.mean_high) << pin.replicates << " jobs=" << jobs;
+      EXPECT_EQ(median_ci.value().low, pin.median_low) << pin.replicates << " jobs=" << jobs;
+      EXPECT_EQ(median_ci.value().high, pin.median_high) << pin.replicates << " jobs=" << jobs;
+    }
+  }
+}
+
 TEST(KolmogorovSf, Limits) {
   EXPECT_DOUBLE_EQ(kolmogorov_sf(0.0), 1.0);
   EXPECT_NEAR(kolmogorov_sf(0.5), 0.9639, 5e-4);

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "util/rng.h"
+#include "util/strings.h"
 
 namespace tsufail {
 namespace {
@@ -184,6 +185,52 @@ TEST(CsvFile, MissingFileIsIoError) {
   auto doc = CsvDocument::read_file("/nonexistent/definitely/missing.csv");
   ASSERT_FALSE(doc.ok());
   EXPECT_EQ(doc.error().kind(), ErrorKind::kIo);
+}
+
+TEST(CsvParse, StructuralScanMatchesFindFirstOf) {
+  // Unquoted documents over an adversarial byte alphabet (NUL, high
+  // bytes, whitespace, every structural byte but the quote) must parse
+  // exactly as splitting with std::string_view::find_first_of(",\r\n")
+  // does, at every length, with CRLF and lone CR both ending a row.
+  static constexpr char kAlphabet[] = {',', '\r', '\n', '\0', '\x80', '\xff', ' ', '\t', 'a', ';'};
+  Rng rng(5);
+  for (const std::size_t n : {1, 2, 3, 15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 128, 129, 1000}) {
+    std::string text;
+    for (std::size_t i = 0; i < n; ++i) text += kAlphabet[rng.uniform_index(sizeof kAlphabet)];
+
+    const std::string_view view(text);
+    std::vector<CsvRecord> want;
+    std::size_t pos = 0;
+    std::size_t line = 1;
+    while (pos < view.size()) {
+      CsvRecord record;
+      record.line_number = line;
+      while (true) {
+        const std::size_t hit = view.find_first_of(",\r\n", pos);
+        const std::size_t end = hit == std::string_view::npos ? view.size() : hit;
+        record.fields.emplace_back(view.substr(pos, end - pos));
+        pos = end + 1;
+        if (hit == std::string_view::npos) break;
+        if (view[hit] == ',') continue;
+        if (view[hit] == '\r' && pos < view.size() && view[pos] == '\n') ++pos;
+        ++line;
+        break;
+      }
+      if (record.fields.size() != 1 || !trim(record.fields[0]).empty())
+        want.push_back(std::move(record));
+    }
+
+    const auto doc = CsvDocument::parse(text);
+    ASSERT_EQ(doc.ok(), !want.empty()) << "n=" << n;
+    if (want.empty()) continue;
+    EXPECT_EQ(doc.value().header(), want[0].fields) << "n=" << n;
+    ASSERT_EQ(doc.value().records().size(), want.size() - 1) << "n=" << n;
+    for (std::size_t i = 1; i < want.size(); ++i) {
+      EXPECT_EQ(doc.value().records()[i - 1].fields, want[i].fields) << "n=" << n << " row=" << i;
+      EXPECT_EQ(doc.value().records()[i - 1].line_number, want[i].line_number)
+          << "n=" << n << " row=" << i;
+    }
+  }
 }
 
 // Property sweep: random documents survive a write -> parse round trip.

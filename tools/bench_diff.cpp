@@ -1,22 +1,23 @@
 // bench_diff — compare fresh BENCH_*.json perf records against committed
 // baselines (bench/baselines/*.json).
 //
-// Every bench record carries an env block (compiler, build type, SIMD
-// dispatch, measured single-core ops/s), so the comparison is
-// env-aware: throughput fields are normalized by each side's
-// env_single_core_ops_per_s before the ratio is taken, which removes
-// most host-speed skew; and when the envs differ structurally
-// (different compiler / build type / SIMD level) every finding is
-// downgraded to informational, because the numbers are not commensurate.
+// Two records are compared only when they measured the same workload:
+// every field both carry that is not a measurement (`env_*`, `*_per_s`,
+// `*_s`, `*_s_*`) must be equal, or the record is reported as a workload
+// mismatch and skipped — a 5000-failure quick run says nothing about a
+// 20000-failure baseline.  Throughput fields (`*_per_s`) are then
+// compared as raw fresh/baseline ratios.  When the envs differ (compiler
+// or build type) every finding is downgraded to informational, because
+// the numbers are not commensurate.
 //
 // Usage: bench_diff <baseline-dir> <fresh-dir> [--threshold F]
 //
-//   threshold (default 0.30): a normalized throughput ratio below
-//   1-threshold is a REGRESSION, above 1+threshold an IMPROVEMENT.
+//   threshold (default 0.30): a throughput ratio below 1-threshold is a
+//   REGRESSION, above 1+threshold an IMPROVEMENT.
 //
-// Exit code: 1 if any REGRESSION was found under a matching env,
-// 0 otherwise (missing baselines and env mismatches never fail — CI
-// runs this as a soft gate and surfaces the report as an annotation).
+// Exit code: 1 if any REGRESSION was found under a matching env and
+// workload, 0 otherwise (missing baselines and mismatches never fail —
+// CI runs this as a soft gate and surfaces the report as an annotation).
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
@@ -33,7 +34,7 @@
 namespace {
 
 struct BenchRecord {
-  std::string name;  // "kernels" for BENCH_kernels.json
+  std::string name;  // "pack" for BENCH_pack.json
   std::map<std::string, double> numbers;
   std::map<std::string, std::string> strings;
 };
@@ -106,11 +107,40 @@ std::map<std::string, BenchRecord> load_dir(const std::string& dir) {
   return records;
 }
 
-/// True for fields where higher is better and host speed matters
-/// (throughputs); these get single-core normalization.
+bool ends_with(const std::string& key, std::string_view suffix) {
+  return key.size() >= suffix.size() &&
+         key.compare(key.size() - suffix.size(), suffix.size(), suffix) == 0;
+}
+
+/// True for fields where higher is better (throughputs).
 bool is_throughput_field(const std::string& key) {
-  return key.size() > 6 && key.compare(key.size() - 6, 6, "_per_s") == 0 &&
-         key.rfind("env_", 0) != 0;
+  return ends_with(key, "_per_s") && key.rfind("env_", 0) != 0;
+}
+
+/// True for fields that describe the workload rather than measure it:
+/// anything but the env block, throughputs and wall times.
+bool is_workload_field(const std::string& key) {
+  return key.rfind("env_", 0) != 0 && !ends_with(key, "_per_s") && !ends_with(key, "_s") &&
+         key.find("_s_") == std::string::npos;
+}
+
+std::string show(double value) {
+  char buffer[32];
+  std::snprintf(buffer, sizeof buffer, "%.17g", value);
+  return buffer;
+}
+std::string show(const std::string& value) { return value; }
+
+/// The first workload field both maps carry with different values,
+/// rendered as "key: base vs fresh", or empty when they agree.
+template <typename Map>
+std::string workload_difference(const Map& base, const Map& now) {
+  for (const auto& [key, value] : base) {
+    const auto it = now.find(key);
+    if (is_workload_field(key) && it != now.end() && it->second != value)
+      return key + ": " + show(value) + " vs " + show(it->second);
+  }
+  return {};
 }
 
 std::string env_string(const BenchRecord& record, const char* key) {
@@ -152,29 +182,26 @@ int main(int argc, char** argv) {
     }
     const BenchRecord& now = fresh_it->second;
 
+    std::string diff = workload_difference(base.numbers, now.numbers);
+    if (diff.empty()) diff = workload_difference(base.strings, now.strings);
+    if (!diff.empty()) {
+      std::printf("[%s] workload mismatch — not compared (%s)\n", name.c_str(), diff.c_str());
+      continue;
+    }
     const bool env_match = env_string(base, "env_compiler") == env_string(now, "env_compiler") &&
-                           env_string(base, "env_build_type") == env_string(now, "env_build_type") &&
-                           env_string(base, "env_simd_dispatch") == env_string(now, "env_simd_dispatch");
-    const auto base_core = base.numbers.find("env_single_core_ops_per_s");
-    const auto now_core = now.numbers.find("env_single_core_ops_per_s");
-    const bool normalizable = base_core != base.numbers.end() && base_core->second > 0.0 &&
-                              now_core != now.numbers.end() && now_core->second > 0.0;
-    // Host speed ratio: >1 means the fresh host is faster, so raw fresh
-    // throughputs are discounted by it before comparing.
-    const double host_ratio = normalizable ? now_core->second / base_core->second : 1.0;
-
-    std::printf("[%s] env %s (compiler %s/%s, simd %s/%s, host-speed %.2fx)\n", name.c_str(),
+                           env_string(base, "env_build_type") == env_string(now, "env_build_type");
+    std::printf("[%s] env %s (compiler %s/%s, build %s/%s)\n", name.c_str(),
                 env_match ? "match" : "MISMATCH — informational only",
                 env_string(base, "env_compiler").c_str(), env_string(now, "env_compiler").c_str(),
-                env_string(base, "env_simd_dispatch").c_str(),
-                env_string(now, "env_simd_dispatch").c_str(), host_ratio);
+                env_string(base, "env_build_type").c_str(),
+                env_string(now, "env_build_type").c_str());
 
     for (const auto& [key, base_value] : base.numbers) {
       if (!is_throughput_field(key)) continue;
       const auto now_value = now.numbers.find(key);
       if (now_value == now.numbers.end() || base_value <= 0.0) continue;
       ++compared;
-      const double ratio = (now_value->second / base_value) / host_ratio;
+      const double ratio = now_value->second / base_value;
       const char* verdict = "ok";
       if (ratio < 1.0 - threshold) {
         verdict = env_match ? "REGRESSION" : "regression (env mismatch, not gating)";
@@ -182,7 +209,7 @@ int main(int argc, char** argv) {
       } else if (ratio > 1.0 + threshold) {
         verdict = "IMPROVEMENT";
       }
-      std::printf("  %-44s base %12.4g  fresh %12.4g  norm-ratio %5.2f  %s\n", key.c_str(),
+      std::printf("  %-44s base %12.4g  fresh %12.4g  ratio %5.2f  %s\n", key.c_str(),
                   base_value, now_value->second, ratio, verdict);
     }
   }
