@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <numeric>
+#include <ostream>
 #include <set>
 #include <vector>
 
@@ -245,6 +246,13 @@ struct DistCase {
   double p1, p2;
   double expected_mean;
 };
+
+// gtest_discover_tests names each case by its printed parameter.  The
+// default print of a struct is its raw bytes, which include the address of
+// `family` and so change with every process; print the case instead.
+void PrintTo(const DistCase& c, std::ostream* os) {
+  *os << c.family << "(" << c.p1 << "," << c.p2 << ")";
+}
 
 class VariateMeans : public ::testing::TestWithParam<DistCase> {};
 
