@@ -28,7 +28,7 @@ constexpr std::size_t kReplicates = 5;
 
 sim::SweepVariant variant(std::string label,
                           void (*ablate)(sim::SimKnobs&) = nullptr) {
-  sim::SweepVariant v{std::move(label), sim::tsubame2_model()};
+  sim::SweepVariant v{std::move(label), sim::tsubame2_model(), {}};
   if (ablate != nullptr) ablate(v.model.knobs);
   return v;
 }

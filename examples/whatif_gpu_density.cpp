@@ -38,13 +38,13 @@ int main() {
   std::printf("what-if: scaling GPUs per node beyond Tsubame-3 (5-replicate sweep)\n\n");
 
   std::vector<sim::SweepVariant> variants;
-  variants.push_back({sim::tsubame3_model().spec.name, sim::tsubame3_model()});
+  variants.push_back({sim::tsubame3_model().spec.name, sim::tsubame3_model(), {}});
   for (int gpus : {6, 8}) {
     for (bool correlated : {false, true}) {
       auto model = dense_machine(gpus, correlated);
       variants.push_back(
           {model.spec.name + (correlated ? " (correlated)" : " (independent)"),
-           std::move(model)});
+           std::move(model), {}});
     }
   }
 

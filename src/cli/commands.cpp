@@ -314,7 +314,7 @@ Result<void> run_sweep_command(const ParsedArgs& args, std::ostream& out) {
   if (!level.ok()) return level.error();
 
   std::vector<sim::SweepVariant> variants;
-  variants.push_back({model.value().spec.name + " (baseline)", model.value()});
+  variants.push_back({model.value().spec.name + " (baseline)", model.value(), {}});
   if (args.has("gpus-per-node") || args.has("nodes")) {
     sim::MachineModel scaled = model.value();
     std::string label = "what-if:";
@@ -337,7 +337,7 @@ Result<void> run_sweep_command(const ParsedArgs& args, std::ostream& out) {
       scaled = std::move(fleet.value());
       label += " " + std::to_string(nodes.value()) + " nodes";
     }
-    variants.push_back({label, std::move(scaled)});
+    variants.push_back({label, std::move(scaled), {}});
   }
 
   sim::SweepOptions options;

@@ -53,6 +53,21 @@ struct Job {
   int pool = -1;  ///< index into config.spare_pools, -1 = no part needed
 };
 
+// The waiting queue is split into buckets of jobs that are eligible to
+// start at exactly the same instants: bucket 2*(pool+1) holds whole-node
+// jobs drawing on `pool` (-1 = no part), bucket 2*(pool+1)+1 the partial
+// ones.  Within a bucket only the policy-best job can be the next start,
+// so each bucket is a heap and dispatch compares bucket heads alone.
+struct WaitBucket {
+  std::vector<std::size_t> heap;  ///< failure indices, policy-best at front
+  int pool = -1;
+  bool partial = false;
+  /// The last tick end at which this bucket was admitted and had a crew
+  /// and the cap free but its pool empty.  Ticks advance, so a job still
+  /// queued here that arrived at or before it waited for a spare.
+  double last_stockout = -std::numeric_limits<double>::infinity();
+};
+
 // Event kinds in intra-tick application order.
 enum EventKind : int { kSpareArrival = 0, kCompletion = 1, kArrival = 2, kWake = 3 };
 
@@ -358,8 +373,12 @@ Result<RepairShopResult> run_repair_shop(const data::FailureLog& log,
   }
   std::priority_queue<std::size_t, std::vector<std::size_t>, std::greater<>> free_crews;
   for (std::size_t c = 0; c < config.crews; ++c) free_crews.push(c);
-  std::vector<std::size_t> waiting;  // failure indices, kept in index order
-  std::map<int, int> node_units;     // node -> capacity units currently lost
+  std::vector<WaitBucket> buckets(2 * (pools.size() + 1));
+  for (std::size_t b = 0; b < buckets.size(); ++b) {
+    buckets[b].pool = static_cast<int>(b / 2) - 1;
+    buckets[b].partial = b % 2 == 1;
+  }
+  std::map<int, int> node_units;  // node -> capacity units currently lost
   long long lost_units = 0;
   std::size_t active = 0;
   double now = 0.0;
@@ -386,19 +405,25 @@ Result<RepairShopResult> run_repair_shop(const data::FailureLog& log,
     return std::min(config.throttle.max_active, config.crews);
   };
 
-  // Window admission for one waiting job under the active policy.
-  const auto window_admits = [&](const Job& job, double t) {
-    if (config.policy != RepairPolicy::kBatchedWindows) return true;
-    if (job.units >= g) return true;  // whole-node failure: emergency path
-    return in_maintenance_window(config.windows, t);
-  };
-
   const auto policy_prefers = [&](std::size_t a, std::size_t b) {
     if (config.policy == RepairPolicy::kCriticalityFirst) {
       if (jobs[a].units != jobs[b].units) return jobs[a].units > jobs[b].units;
       if (jobs[a].service != jobs[b].service) return jobs[a].service < jobs[b].service;
     }
     return a < b;  // FIFO / batched: arrival (= record index) order
+  };
+  // Heap order: the front is the job no other job is preferred over.
+  const auto dispatched_later = [&](std::size_t a, std::size_t b) { return policy_prefers(b, a); };
+
+  const auto bucket_of = [&](const Job& job) -> WaitBucket& {
+    return buckets[2 * static_cast<std::size_t>(job.pool + 1) + (job.units < g ? 1 : 0)];
+  };
+  // A job leaving its bucket (started, or still waiting at the horizon)
+  // waited for a spare iff its bucket stocked out while it was queued.
+  const auto leave_bucket = [&](std::size_t i) {
+    if (bucket_of(jobs[i]).last_stockout >= jobs[i].arrival) {
+      result.assignments[i].waited_for_spare = true;
+    }
   };
 
   // --- Event loop ------------------------------------------------------
@@ -407,6 +432,13 @@ Result<RepairShopResult> run_repair_shop(const data::FailureLog& log,
     const double t = events.top().time;
     degraded_units_hours += static_cast<double>(lost_units) * (t - now);
     now = t;
+    // Partial repairs may start at t; whole-node repairs always may.
+    const bool window_open = config.policy != RepairPolicy::kBatchedWindows ||
+                             in_maintenance_window(config.windows, t);
+    const auto admits = [&](const WaitBucket& bucket) {
+      if (bucket.partial && !window_open) return false;
+      return bucket.pool < 0 || pools[static_cast<std::size_t>(bucket.pool)] > 0;
+    };
 
     // The tick loop: zero-service completions and zero-lead restocks
     // scheduled by the dispatch below land back at time t and re-enter.
@@ -435,20 +467,27 @@ Result<RepairShopResult> run_repair_shop(const data::FailureLog& log,
       std::sort(tick_arrivals.begin(), tick_arrivals.end());
       for (std::size_t i : tick_arrivals) {
         add_units(jobs[i], +1);
-        waiting.insert(std::upper_bound(waiting.begin(), waiting.end(), i), i);
+        WaitBucket& bucket = bucket_of(jobs[i]);
+        bucket.heap.push_back(i);
+        std::push_heap(bucket.heap.begin(), bucket.heap.end(), dispatched_later);
       }
 
       // Dispatch: start the policy-best eligible repair until crews, the
-      // throttle cap, spares, or the window gate say stop.
+      // throttle cap, spares, or the window gate say stop.  Every job in
+      // a bucket is eligible exactly when the bucket is, so the best
+      // eligible job is the best admitted bucket head.
       while (!free_crews.empty() && active < active_cap()) {
         std::size_t best = n;
-        for (std::size_t i : waiting) {
-          if (!window_admits(jobs[i], t)) continue;
-          if (jobs[i].pool >= 0 && pools[static_cast<std::size_t>(jobs[i].pool)] == 0) continue;
-          if (best == n || policy_prefers(i, best)) best = i;
+        for (const WaitBucket& bucket : buckets) {
+          if (bucket.heap.empty() || !admits(bucket)) continue;
+          const std::size_t head = bucket.heap.front();
+          if (best == n || policy_prefers(head, best)) best = head;
         }
         if (best == n) break;
-        waiting.erase(std::find(waiting.begin(), waiting.end(), best));
+        WaitBucket& from = bucket_of(jobs[best]);
+        std::pop_heap(from.heap.begin(), from.heap.end(), dispatched_later);
+        from.heap.pop_back();
+        leave_bucket(best);
         RepairAssignment& assignment = result.assignments[best];
         assignment.crew = free_crews.top();
         free_crews.pop();
@@ -468,20 +507,20 @@ Result<RepairShopResult> run_repair_shop(const data::FailureLog& log,
       }
     }
 
-    // End-of-tick bookkeeping: stockout flags, queue depth, window wakes.
+    // End-of-tick bookkeeping: stockout marks, queue depth, window wakes.
     const bool crew_and_cap_free = !free_crews.empty() && active < active_cap();
     bool stalled_on_window = false;
-    for (std::size_t i : waiting) {
-      if (!window_admits(jobs[i], t)) {
+    std::size_t waiting = 0;
+    for (WaitBucket& bucket : buckets) {
+      waiting += bucket.heap.size();
+      if (bucket.heap.empty()) continue;
+      if (bucket.partial && !window_open) {
         stalled_on_window = true;
         continue;
       }
-      if (crew_and_cap_free && jobs[i].pool >= 0 &&
-          pools[static_cast<std::size_t>(jobs[i].pool)] == 0) {
-        result.assignments[i].waited_for_spare = true;
-      }
+      if (crew_and_cap_free && !admits(bucket)) bucket.last_stockout = t;
     }
-    result.peak_queue_depth = std::max(result.peak_queue_depth, waiting.size());
+    result.peak_queue_depth = std::max(result.peak_queue_depth, waiting);
     if (stalled_on_window) {
       const double wake = next_window_start(config.windows, t);
       if (wake > t && wake <= horizon && wake != last_wake) {
@@ -491,6 +530,9 @@ Result<RepairShopResult> run_repair_shop(const data::FailureLog& log,
     }
   }
   degraded_units_hours += static_cast<double>(lost_units) * (horizon - now);
+  for (const WaitBucket& bucket : buckets) {
+    for (std::size_t i : bucket.heap) leave_bucket(i);
+  }
 
   // --- Summary ---------------------------------------------------------
   std::size_t started = 0;

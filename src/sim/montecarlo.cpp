@@ -286,7 +286,7 @@ Result<SweepResult> run_sweep(std::span<const SweepVariant> variants,
 }
 
 Result<SweepResult> run_sweep(const MachineModel& model, const SweepOptions& options) {
-  const SweepVariant variant{model.spec.name, model};
+  const SweepVariant variant{model.spec.name, model, {}};
   return run_sweep(std::span<const SweepVariant>(&variant, 1), options);
 }
 

@@ -284,6 +284,61 @@ TEST(RepairShop, ZeroSparesWithNoDemandNeverRestocks) {
   EXPECT_NEAR(r.degraded_node_hours, (r.horizon_hours - 24.0) / 3.0, 1e-6);
 }
 
+TEST(RepairShop, StockoutFlagNeedsAFreeCrewAndAnAdmittedRepair) {
+  // A repair waited for a spare only if, at some tick end while it was
+  // queued, a crew and the throttle cap were free, its pool was empty,
+  // and it was allowed to start at that instant.  Record 0 takes the
+  // only GPU spare at 24 h (restock lead 10 h); record 1, a GPU repair,
+  // arrives at 25 h into the empty pool.
+  const auto log = t2_log({rec(1, Category::kGpu, "2012-01-08 00:00:00", 50.0, {0}),
+                           rec(2, Category::kGpu, "2012-01-08 01:00:00", 5.0, {1})});
+  RepairShopConfig config;
+  config.spare_pools = {{Category::kGpu, {1, 10.0}}};
+
+  // One crew, busy until 74 h: the pool is empty from 25 h to 34 h, but
+  // no crew is free then, so record 1 waits on the crew, not the part.
+  config.crews = 1;
+  auto busy = run_repair_shop(log, config);
+  ASSERT_TRUE(busy.ok());
+  EXPECT_DOUBLE_EQ(busy.value().assignments[1].start_hours, 74.0);
+  EXPECT_FALSE(busy.value().assignments[1].waited_for_spare);
+  EXPECT_EQ(busy.value().stockouts, 0u);
+
+  // Two crews: one idles at 25 h while the pool is empty, so record 1 is
+  // a stockout and starts on the restock at 34 h.
+  config.crews = 2;
+  auto idle = run_repair_shop(log, config);
+  ASSERT_TRUE(idle.ok());
+  EXPECT_DOUBLE_EQ(idle.value().assignments[1].start_hours, 34.0);
+  EXPECT_TRUE(idle.value().assignments[1].waited_for_spare);
+  EXPECT_EQ(idle.value().stockouts, 1u);
+
+  // Batched windows open [0, 24) every 168 h.  Record 0 takes the spare
+  // at 2 h (lead 100 h); record 1, a partial repair, arrives at 30 h with
+  // the window shut.  The restock lands at 102 h, before the next window
+  // opens at 168 h: the empty pool never held record 1 back.
+  const auto windowed = t2_log({rec(1, Category::kGpu, "2012-01-07 02:00:00", 5.0, {0}),
+                                rec(2, Category::kGpu, "2012-01-08 06:00:00", 5.0, {1})});
+  config.policy = RepairPolicy::kBatchedWindows;
+  config.windows = {0.0, 168.0, 24.0};
+  config.spare_pools = {{Category::kGpu, {1, 100.0}}};
+  auto closed = run_repair_shop(windowed, config);
+  ASSERT_TRUE(closed.ok());
+  EXPECT_DOUBLE_EQ(closed.value().assignments[1].start_hours, 168.0);
+  EXPECT_FALSE(closed.value().assignments[1].waited_for_spare);
+  EXPECT_EQ(closed.value().stockouts, 0u);
+
+  // With a 180 h lead the pool is still empty when the window opens at
+  // 168 h: record 1 is admitted, a crew is free, and it waits for the
+  // part until 182 h, inside the same window.
+  config.spare_pools = {{Category::kGpu, {1, 180.0}}};
+  auto open = run_repair_shop(windowed, config);
+  ASSERT_TRUE(open.ok());
+  EXPECT_DOUBLE_EQ(open.value().assignments[1].start_hours, 182.0);
+  EXPECT_TRUE(open.value().assignments[1].waited_for_spare);
+  EXPECT_EQ(open.value().stockouts, 1u);
+}
+
 TEST(RepairShop, ThrottleSerializesAndBoostLifts) {
   // Shrink the fleet so one failure craters healthy capacity: 2 nodes,
   // 1 GPU each.  Two simultaneous whole-node failures, 2 crews,

@@ -2,11 +2,13 @@
 // schedule recomputed with the naive O(n^2) scan-based reference
 // simulator and diffed event-for-event (start/completion times, crew
 // assignments, spare consumption, summary stats) across a grid of shop
-// configurations — over the edge corpus, calibrated simulator logs, and
-// random adversarial logs (ctest labels: property, repair;
+// configurations — over the edge corpus, calibrated simulator logs,
+// random adversarial logs, and for the deep-backlog shops a
+// 2500-failure log (ctest labels: property, repair;
 // TSUFAIL_TEST_SEED replays, TSUFAIL_TEST_ITERS deepens).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "sim/generator.h"
@@ -24,12 +26,39 @@ using ops::RepairShopConfig;
 // and in combination, including the regimes where tie-breaking decides
 // the schedule (1 crew, simultaneous arrivals) and where instant-event
 // chains matter (zero restock lead).
-std::vector<std::pair<std::string, RepairShopConfig>> config_grid() {
-  std::vector<std::pair<std::string, RepairShopConfig>> grid;
+using ConfigGrid = std::vector<std::pair<std::string, RepairShopConfig>>;
+
+void add_config(ConfigGrid& grid, const char* name, const char* text) {
+  auto config = ops::parse_repair_config(text);
+  TSUFAIL_REQUIRE(config.ok(), "config grid entry must parse");
+  grid.emplace_back(name, std::move(config).value());
+}
+
+// Shops that keep a deep backlog on a long log: the stock `tsufail
+// repairs` shop under each policy (one crew at a time until fleet health
+// drops below 95%); two pools where one never has a part while the other
+// is stocked, so dispatch must skip a permanently blocked bucket; and a
+// GPU pool far too small for eight mostly idle crews, so most GPU repairs
+// are stockouts (with and without the window gate on partial repairs).
+ConfigGrid deep_queue_configs() {
+  ConfigGrid grid;
+  add_config(grid, "stock-fifo", "crews=2,spares=GPU:2:336,throttle=1,boost=0.95");
+  add_config(grid, "stock-critical",
+             "crews=2,policy=critical,spares=GPU:2:336,throttle=1,boost=0.95");
+  add_config(grid, "stock-batched",
+             "crews=2,policy=batched,spares=GPU:2:336,throttle=1,boost=0.95");
+  add_config(grid, "two-pool-one-empty",
+             "crews=2,policy=critical,spares=GPU:0:200;Memory:1:50,throttle=1");
+  add_config(grid, "starved-pool", "crews=8,policy=critical,spares=GPU:1:336;Memory:0:50");
+  add_config(grid, "starved-pool-batched",
+             "crews=8,policy=batched,spares=GPU:1:336;Memory:0:50");
+  return grid;
+}
+
+ConfigGrid config_grid() {
+  ConfigGrid grid;
   const auto parse = [&grid](const char* name, const char* text) {
-    auto config = ops::parse_repair_config(text);
-    TSUFAIL_REQUIRE(config.ok(), "config grid entry must parse");
-    grid.emplace_back(name, std::move(config).value());
+    add_config(grid, name, text);
   };
   parse("one-crew-fifo", "crews=1");
   parse("one-crew-critical", "crews=1,policy=critical");
@@ -44,6 +73,7 @@ std::vector<std::pair<std::string, RepairShopConfig>> config_grid() {
         "crews=2,policy=critical,spares=GPU:1:100;Disk:1:0,throttle=2,boost=0.9");
   parse("kitchen-sink-batched",
         "crews=2,policy=batched,spares=GPU:1:50,throttle=1,window=0/72/6,horizon-slack=4000");
+  for (auto& entry : deep_queue_configs()) grid.push_back(std::move(entry));
   return grid;
 }
 
@@ -123,6 +153,49 @@ TEST(RepairOracle, SimultaneousFailureTieBreaking) {
                                    oracle_property_for(config.value()));
     if (ce.has_value()) FAIL() << "config '" << text << "':\n" << ce->describe();
   }
+}
+
+// The oracle on one deep-queue shop over a Tsubame-2-model log of 2500
+// failures: more than a thousand repairs wait at once, so every start
+// chooses among many queued jobs across several spare/window buckets.
+// That size still keeps the O(n^2) reference affordable.
+void expect_oracle_clean_on_deep_queue(const std::string& name, std::size_t min_stockouts = 0) {
+  const ConfigGrid grid = deep_queue_configs();
+  const auto entry = std::find_if(grid.begin(), grid.end(),
+                                  [&name](const auto& e) { return e.first == name; });
+  ASSERT_NE(entry, grid.end()) << name;
+  sim::MachineModel model = sim::tsubame2_model();
+  model.total_failures = 2500;
+  const std::uint64_t seed = test_seed();
+  auto log = sim::generate_log(model, seed);
+  ASSERT_TRUE(log.ok()) << log.error().to_string();
+  auto engine = ops::run_repair_shop(log.value(), entry->second);
+  auto reference = reference_repair_shop(log.value(), entry->second);
+  ASSERT_TRUE(engine.ok()) << engine.error().to_string();
+  ASSERT_TRUE(reference.ok()) << reference.error().to_string();
+  EXPECT_GE(engine.value().peak_queue_depth, 1000u);
+  EXPECT_GE(engine.value().stockouts, min_stockouts);
+  const auto mismatches = diff_repair_runs(engine.value(), reference.value());
+  EXPECT_TRUE(mismatches.empty()) << "config '" << name << "' (seed " << seed << "):\n"
+                                  << render(mismatches);
+}
+
+TEST(RepairOracleDeepQueue, StockFifo) { expect_oracle_clean_on_deep_queue("stock-fifo"); }
+
+TEST(RepairOracleDeepQueue, StockCritical) {
+  expect_oracle_clean_on_deep_queue("stock-critical");
+}
+
+TEST(RepairOracleDeepQueue, StockBatched) { expect_oracle_clean_on_deep_queue("stock-batched"); }
+
+TEST(RepairOracleDeepQueue, TwoPoolsOneEmpty) {
+  expect_oracle_clean_on_deep_queue("two-pool-one-empty");
+}
+
+TEST(RepairOracleDeepQueue, StarvedPool) { expect_oracle_clean_on_deep_queue("starved-pool", 500); }
+
+TEST(RepairOracleDeepQueue, StarvedPoolBatched) {
+  expect_oracle_clean_on_deep_queue("starved-pool-batched", 500);
 }
 
 TEST(RepairOracle, DiffReportsInjectedDivergence) {

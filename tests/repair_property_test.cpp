@@ -1,9 +1,9 @@
 // Property suite for the repair orchestrator (ctest labels: property,
 // repair): policy degeneracy under infinite crews, spare-pool
-// monotonicity, conservation invariants over random adversarial logs,
-// pure-function replay, and bit-identical policy sweeps at any thread
-// count.  TSUFAIL_TEST_SEED replays a failure, TSUFAIL_TEST_ITERS deepens
-// the nightly run.
+// monotonicity, conservation invariants over random adversarial logs and
+// a 10^5-failure log, pure-function replay, and bit-identical policy
+// sweeps at any thread count.  TSUFAIL_TEST_SEED replays a failure,
+// TSUFAIL_TEST_ITERS deepens the nightly run.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,6 +11,7 @@
 
 #include "ops/repair_sweep.h"
 #include "ops/repairshop.h"
+#include "sim/generator.h"
 #include "sim/tsubame_models.h"
 #include "testkit/property.h"
 
@@ -146,6 +147,57 @@ TEST(RepairProperty, ZeroSparesMonotonicallyIncreaseDegradedTime) {
   if (ce.has_value()) FAIL() << ce->describe();
 }
 
+// The conservation invariants of one schedule, or what broke first.
+std::optional<std::string> conservation_violation(const data::FailureLog& log,
+                                                  const RepairShopConfig& config,
+                                                  const ops::RepairShopResult& r) {
+  const std::size_t n = log.size();
+  if (r.completed + r.in_flight_at_horizon + r.unstarted_at_horizon != n) {
+    return "failure count not conserved across completed/in-flight/unstarted";
+  }
+  std::size_t consumed = 0, flagged = 0;
+  const auto records = log.records();
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto& a = r.assignments[i];
+    if (a.started()) {
+      if (a.crew >= config.crews) return "started repair has no crew";
+      if (a.start_hours < a.arrival_hours) return "start before arrival";
+      if (a.start_hours > r.horizon_hours) return "start past horizon";
+      if (a.completion_hours != a.start_hours + records[i].ttr_hours) {
+        return "completion != start + service";
+      }
+    } else {
+      if (a.crew != SIZE_MAX) return "unstarted repair holds a crew";
+      if (a.consumed_spare) return "unstarted repair consumed a spare";
+    }
+    if (a.wait_hours(r.horizon_hours) < 0.0) return "negative wait";
+    consumed += a.consumed_spare ? 1 : 0;
+    flagged += a.waited_for_spare ? 1 : 0;
+  }
+  if (consumed != r.spare_demands) return "spare_demands != consumed flags";
+  if (flagged != r.stockouts) return "stockouts != waited_for_spare flags";
+  double busy_total = 0.0;
+  for (double busy : r.crew_busy_hours) {
+    if (busy < 0.0 || busy > r.horizon_hours + 1e-9) return "crew busy out of range";
+    busy_total += busy;
+  }
+  if (busy_total > static_cast<double>(config.crews) * r.horizon_hours + 1e-6) {
+    return "total crew busy exceeds crews x horizon";
+  }
+  for (std::size_t p = 0; p < r.final_pool_counts.size(); ++p) {
+    if (r.final_pool_counts[p] > config.spare_pools[p].policy.initial_spares) {
+      return "pool ended above its initial stock";
+    }
+  }
+  if (r.peak_active > config.crews) return "peak active exceeds crews";
+  if (r.peak_queue_depth > n) return "peak queue exceeds log size";
+  if (!(r.availability >= 0.0 && r.availability <= 1.0)) {
+    return "availability outside [0, 1]";
+  }
+  if (r.degraded_node_hours < 0.0) return "negative degraded node-hours";
+  return std::nullopt;
+}
+
 TEST(RepairProperty, ConservationInvariants) {
   const auto configs = std::vector<const char*>{
       "crews=1", "crews=2,policy=critical,spares=GPU:1:100,throttle=1",
@@ -161,54 +213,31 @@ TEST(RepairProperty, ConservationInvariants) {
         [&config](const data::FailureLog& log) -> std::optional<std::string> {
           auto run = ops::run_repair_shop(log, config);
           if (!run.ok()) return run.error().to_string();
-          const ops::RepairShopResult& r = run.value();
-          const std::size_t n = log.size();
-          if (r.completed + r.in_flight_at_horizon + r.unstarted_at_horizon != n) {
-            return "failure count not conserved across completed/in-flight/unstarted";
-          }
-          std::size_t consumed = 0, flagged = 0;
-          const auto records = log.records();
-          for (std::size_t i = 0; i < n; ++i) {
-            const auto& a = r.assignments[i];
-            if (a.started()) {
-              if (a.crew >= config.crews) return "started repair has no crew";
-              if (a.start_hours < a.arrival_hours) return "start before arrival";
-              if (a.start_hours > r.horizon_hours) return "start past horizon";
-              if (a.completion_hours != a.start_hours + records[i].ttr_hours) {
-                return "completion != start + service";
-              }
-            } else {
-              if (a.crew != SIZE_MAX) return "unstarted repair holds a crew";
-              if (a.consumed_spare) return "unstarted repair consumed a spare";
-            }
-            if (a.wait_hours(r.horizon_hours) < 0.0) return "negative wait";
-            consumed += a.consumed_spare ? 1 : 0;
-            flagged += a.waited_for_spare ? 1 : 0;
-          }
-          if (consumed != r.spare_demands) return "spare_demands != consumed flags";
-          if (flagged != r.stockouts) return "stockouts != waited_for_spare flags";
-          double busy_total = 0.0;
-          for (double busy : r.crew_busy_hours) {
-            if (busy < 0.0 || busy > r.horizon_hours + 1e-9) return "crew busy out of range";
-            busy_total += busy;
-          }
-          if (busy_total > static_cast<double>(config.crews) * r.horizon_hours + 1e-6) {
-            return "total crew busy exceeds crews x horizon";
-          }
-          for (std::size_t p = 0; p < r.final_pool_counts.size(); ++p) {
-            if (r.final_pool_counts[p] > config.spare_pools[p].policy.initial_spares) {
-              return "pool ended above its initial stock";
-            }
-          }
-          if (r.peak_active > config.crews) return "peak active exceeds crews";
-          if (r.peak_queue_depth > n) return "peak queue exceeds log size";
-          if (!(r.availability >= 0.0 && r.availability <= 1.0)) {
-            return "availability outside [0, 1]";
-          }
-          if (r.degraded_node_hours < 0.0) return "negative degraded node-hours";
-          return std::nullopt;
+          return conservation_violation(log, config, run.value());
         });
     if (ce.has_value()) FAIL() << "config '" << text << "':\n" << ce->describe();
+  }
+}
+
+TEST(RepairProperty, ConservationAtScaleUnderTheStockShop) {
+  // Scale tier: 10^5 Tsubame-2-model failures through the stock shop,
+  // whose backlog holds most of the log, under every policy.  Run time is
+  // left to the benchmark; this pins that the schedule stays conserved
+  // when the queue is tens of thousands deep.
+  sim::MachineModel model = sim::tsubame2_model();
+  model.total_failures = 100'000;
+  auto log = sim::generate_log(model, test_seed());
+  ASSERT_TRUE(log.ok()) << log.error().to_string();
+  ASSERT_EQ(log.value().size(), model.total_failures);
+  for (const char* policy : {"fifo", "critical", "batched"}) {
+    auto config = ops::parse_repair_config(
+        std::string("crews=2,spares=GPU:2:336,throttle=1,boost=0.95,policy=") + policy);
+    ASSERT_TRUE(config.ok()) << policy;
+    auto run = ops::run_repair_shop(log.value(), config.value());
+    ASSERT_TRUE(run.ok()) << run.error().to_string();
+    EXPECT_GT(run.value().peak_queue_depth, 10'000u) << policy;
+    const auto violation = conservation_violation(log.value(), config.value(), run.value());
+    EXPECT_FALSE(violation.has_value()) << policy << ": " << violation.value_or("");
   }
 }
 
