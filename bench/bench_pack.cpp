@@ -2,22 +2,24 @@
 //
 // For both calibrated Tsubame presets:
 //   1. speed   — loading a packed .tsnap (mmap + zero-copy index
-//                adoption) must beat re-parsing the equivalent CSV by
-//                >= 20x (median of repeated runs);
+//                adoption) must beat parsing the equivalent CSV by at
+//                least kGateSpeedupMin (median of repeated runs);
 //   2. fidelity — the full study report rendered from the loaded
 //                snapshot must be byte-identical to the one rendered
 //                from the parsed CSV, and unpacking the snapshot must
 //                reproduce the canonical CSV byte-for-byte.
 //
 // Violating either gate makes the process exit non-zero, so CI can hold
-// the line; the measured numbers ride in BENCH_pack.json.
+// the line.  BENCH_pack.json carries each side's own time and throughput
+// (`*_parse_*`, `*_load_*`), which bench_diff scores separately; the
+// load/parse ratio is printed but not recorded, because a measured ratio
+// in a perf record would count as a workload key (tools/bench_diff.cpp).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -54,19 +56,18 @@ double median_seconds(int reps, Body&& body) {
   return times[times.size() / 2];
 }
 
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
+/// The speed gate.  Against the single-pass CSV reader a snapshot loads
+/// these presets 6.3-8.8x faster (Release, GCC 12, 4-thread x86-64 host;
+/// it was 31-35x against the two-stage reader it replaced, gated at 20x).
+/// The gate keeps that old margin, about 0.6x of the lowest ratio seen.
+constexpr double kGateSpeedupMin = 4.0;
 
 }  // namespace
 
 int main() {
   using namespace tsufail;
 
-  bench::print_banner("pack", "columnar snapshot load vs CSV parse (PR 7 acceptance gate)");
+  bench::print_banner("pack", "columnar snapshot load vs CSV parse");
 
   const std::filesystem::path dir =
       std::filesystem::temp_directory_path() / "tsufail_bench_pack";
@@ -96,7 +97,7 @@ int main() {
     // Parse path: CSV file -> records -> index (what `tsufail analyze
     // log.csv` does before any analysis runs).
     const double parse_s = median_seconds(15, [&] {
-      auto report = data::read_log_csv(slurp(csv_path), data::ReadPolicy::kStrict);
+      auto report = data::read_log_file(csv_path, data::ReadPolicy::kStrict);
       if (!report.ok()) return std::size_t{0};
       const data::LogIndex idx(report.value().log);
       return idx.size();
@@ -131,13 +132,14 @@ int main() {
     // Fidelity gate 2: unpack reproduces the canonical CSV exactly.
     const bool csv_identical = data::write_log_csv(from_snap) == csv;
 
-    const bool fast_enough = speedup >= 20.0;
+    const bool fast_enough = speedup >= kGateSpeedupMin;
     ok = ok && reports_identical && csv_identical && fast_enough;
 
     std::printf("%s: %zu records, csv %zu B, tsnap %zu B (%s load)\n", tag.c_str(), log.size(),
                 csv.size(), packed.size(), loaded.value()->mapped() ? "mmap" : "stream");
-    std::printf("  parse %.3f ms  load %.3f ms  speedup %.1fx  [gate >= 20x: %s]\n",
-                parse_s * 1e3, load_s * 1e3, speedup, fast_enough ? "ok" : "FAIL");
+    std::printf("  parse %.3f ms  load %.3f ms  speedup %.1fx  [gate >= %.0fx: %s]\n",
+                parse_s * 1e3, load_s * 1e3, speedup, kGateSpeedupMin,
+                fast_enough ? "ok" : "FAIL");
     std::printf("  study report byte-identical: %s; unpack byte-identical: %s\n",
                 reports_identical ? "ok" : "FAIL", csv_identical ? "ok" : "FAIL");
 
@@ -146,14 +148,15 @@ int main() {
     perf.set(tag + "_tsnap_bytes", static_cast<std::int64_t>(packed.size()));
     perf.set(tag + "_parse_s", parse_s);
     perf.set(tag + "_load_s", load_s);
-    perf.set(tag + "_speedup", speedup);
+    perf.set(tag + "_parse_records_per_s", static_cast<double>(log.size()) / parse_s);
+    perf.set(tag + "_load_records_per_s", static_cast<double>(log.size()) / load_s);
     perf.set(tag + "_report_identical", reports_identical ? std::int64_t{1} : std::int64_t{0});
 
     std::remove(csv_path.c_str());
     std::remove(snap_path.c_str());
   }
 
-  perf.set("gate_speedup_min", 20.0);
+  perf.set("gate_speedup_min", kGateSpeedupMin);
   perf.set("gate_ok", ok ? std::int64_t{1} : std::int64_t{0});
   perf.write();
 

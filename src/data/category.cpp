@@ -1,7 +1,6 @@
 #include "data/category.h"
 
 #include <array>
-#include <cctype>
 #include <string>
 #include <vector>
 
@@ -57,15 +56,62 @@ const CategoryInfo& info(Category category) noexcept {
   return kCategoryTable.back();  // unreachable for valid enum values
 }
 
-/// Normalizes a name for matching: lowercase alphanumerics only.
-std::string normalize(std::string_view name) {
-  std::string out;
-  out.reserve(name.size());
+/// Longest normalized name a category or alias has ("cyclicredundancycheck"
+/// is 21); a longer key matches nothing.
+constexpr std::size_t kMaxKey = 24;
+
+/// Lowercase ASCII alphanumerics of `name` (the C locale's isalnum), the
+/// matching key.  Writes at most kMaxKey of them to `out` and returns how
+/// many `name` holds in all.
+std::size_t normalize(std::string_view name, char* out) noexcept {
+  std::size_t size = 0;
   for (char c : name) {
-    if (std::isalnum(static_cast<unsigned char>(c)))
-      out += static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+    if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
+    if ((c >= 'a' && c <= 'z') || (c >= '0' && c <= '9')) {
+      if (size < kMaxKey) out[size] = c;
+      ++size;
+    }
   }
-  return out;
+  return size;
+}
+
+struct CategoryKey {
+  std::string key;
+  Category category;
+};
+
+/// Every accepted spelling, normalized once: the Table II names in table
+/// order, then the aliases seen in raw logs and in the paper's prose.
+const std::vector<CategoryKey>& category_keys() {
+  static const std::vector<CategoryKey> keys = [] {
+    std::vector<CategoryKey> out;
+    for (const auto& row : kCategoryTable) {
+      char buf[kMaxKey];
+      const std::size_t size = normalize(row.name, buf);
+      out.push_back({std::string(buf, size), row.category});
+    }
+    const CategoryKey aliases[] = {
+        {"infiniband", Category::kInfiniband},
+        {"fan", Category::kFan},
+        {"powersupplyunit", Category::kPsu},
+        {"portablebatchsystem", Category::kPbs},
+        {"virtualmachine", Category::kVm},
+        {"systemboard", Category::kSystemBoard},
+        {"omnipath", Category::kOmniPath},
+        {"powerboard", Category::kPowerBoard},
+        {"sxm2cable", Category::kSxm2Cable},
+        {"sxm2board", Category::kSxm2Board},
+        {"ipmotherboard", Category::kIpMotherboard},
+        {"ip", Category::kIpMotherboard},
+        {"ledfrontpanel", Category::kLedFrontPanel},
+        {"cyclicredundancycheck", Category::kCrc},
+        {"gpudriverrelated", Category::kGpuDriver},
+        {"driver", Category::kGpuDriver},
+    };
+    for (const auto& alias : aliases) out.push_back(alias);
+    return out;
+  }();
+  return keys;
 }
 
 }  // namespace
@@ -108,27 +154,16 @@ std::span<const Category> categories_for(Machine machine) noexcept {
 }
 
 Result<Category> parse_category(std::string_view name) {
-  const std::string key = normalize(name);
-  if (key.empty())
+  char buf[kMaxKey];
+  const std::size_t size = normalize(name, buf);
+  if (size == 0)
     return Error(ErrorKind::kParse, "empty category name");
-  for (const auto& row : kCategoryTable) {
-    if (normalize(row.name) == key) return row.category;
+  if (size <= kMaxKey) {
+    const std::string_view key(buf, size);
+    for (const auto& entry : category_keys()) {
+      if (entry.key == key) return entry.category;
+    }
   }
-  // Aliases seen in raw logs and in the paper's prose.
-  if (key == "infiniband") return Category::kInfiniband;
-  if (key == "fan") return Category::kFan;
-  if (key == "powersupplyunit") return Category::kPsu;
-  if (key == "portablebatchsystem") return Category::kPbs;
-  if (key == "virtualmachine") return Category::kVm;
-  if (key == "systemboard") return Category::kSystemBoard;
-  if (key == "omnipath") return Category::kOmniPath;
-  if (key == "powerboard") return Category::kPowerBoard;
-  if (key == "sxm2cable") return Category::kSxm2Cable;
-  if (key == "sxm2board") return Category::kSxm2Board;
-  if (key == "ipmotherboard" || key == "ip") return Category::kIpMotherboard;
-  if (key == "ledfrontpanel") return Category::kLedFrontPanel;
-  if (key == "cyclicredundancycheck") return Category::kCrc;
-  if (key == "gpudriverrelated" || key == "driver") return Category::kGpuDriver;
   return Error(ErrorKind::kNotFound, "unknown failure category: '" + std::string(name) + "'");
 }
 

@@ -13,11 +13,17 @@
 
 namespace tsufail::data {
 
+/// Stable-sorts `records` by time, unless they already are in time order:
+/// a stable sort leaves a sorted range as it is, so skipping it changes
+/// nothing but the cost.  Ties keep their order.
+void sort_by_time(std::vector<FailureRecord>& records);
+
 class FailureLog {
  public:
-  /// Builds a log, sorting records by time and validating each against the
-  /// spec.  Errors name the offending record index.  `slack_hours` relaxes
-  /// the window check (generated logs may slightly overshoot the window).
+  /// Builds a log, sorting records by time (sort_by_time) and validating
+  /// each against the spec.  Errors name the offending record index.
+  /// `slack_hours` relaxes the window check (generated logs may slightly
+  /// overshoot the window).
   static Result<FailureLog> create(MachineSpec spec, std::vector<FailureRecord> records,
                                    double slack_hours = 0.0);
 

@@ -11,7 +11,12 @@
 //
 // Reading is lenient by policy choice: structurally broken rows are
 // collected into `ReadReport::row_errors` and the rest of the log loads.
-// A strict mode turns any row error into a load failure.
+// A strict mode turns any row error into a load failure.  A CSV-level
+// error (stray or unterminated quote) fails the load under either policy.
+//
+// The reader is one pass over the text: the header's column positions are
+// resolved once, and each row's fields are parsed from views into the
+// buffer, validated once, and moved into the log.
 #pragma once
 
 #include <string>
@@ -55,8 +60,10 @@ Result<void> write_log_file(const std::string& path, const FailureLog& log);
 /// Parses one headerless data row in the canonical column order
 /// (machine,timestamp,node,category,ttr_hours,gpu_slots,root_locus) —
 /// the shape write_log_csv emits row-for-row and the serve ingest
-/// protocol accepts one event at a time.  RFC-4180 quoting is honored;
-/// embedded newlines are not (a row is one line by definition here).
+/// protocol accepts one event at a time.  RFC-4180 quoting is honored
+/// (the same CsvCursor as the file reader); one trailing CR is dropped,
+/// and any other CR or LF fails the row, since a row is one line by
+/// definition here.
 Result<std::pair<Machine, FailureRecord>> parse_record_row(std::string_view row);
 
 /// Formats a slot list as the on-disk "0|2" form.

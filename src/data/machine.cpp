@@ -13,9 +13,11 @@ std::string_view to_string(Machine machine) noexcept {
 }
 
 Result<Machine> parse_machine(std::string_view name) {
-  const std::string lower = to_lower(trim(name));
-  if (lower == "tsubame-2" || lower == "tsubame2" || lower == "t2") return Machine::kTsubame2;
-  if (lower == "tsubame-3" || lower == "tsubame3" || lower == "t3") return Machine::kTsubame3;
+  const std::string_view key = trim(name);
+  if (iequals(key, "tsubame-2") || iequals(key, "tsubame2") || iequals(key, "t2"))
+    return Machine::kTsubame2;
+  if (iequals(key, "tsubame-3") || iequals(key, "tsubame3") || iequals(key, "t3"))
+    return Machine::kTsubame3;
   return Error(ErrorKind::kNotFound, "unknown machine: '" + std::string(name) + "'");
 }
 

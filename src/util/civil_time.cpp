@@ -20,6 +20,9 @@ int take_int(std::string_view& text, int max_digits) {
   return digits == 0 ? -1 : value;
 }
 
+/// Characters of the widest int, "-2147483648".
+constexpr std::size_t kIntChars = 11;
+
 /// Consumes `c` from the front of `text`; returns false if absent.
 bool take_char(std::string_view& text, char c) {
   if (text.empty() || text.front() != c) return false;
@@ -122,7 +125,9 @@ Result<TimePoint> parse_time(std::string_view text) {
 
 std::string format_time(TimePoint t) {
   const CivilDateTime c = t.to_civil();
-  char buf[32];
+  // Room for every field at full int width ("-2147483648"), so no year,
+  // however far out, is cut short.
+  char buf[6 * kIntChars + 6];
   std::snprintf(buf, sizeof(buf), "%04d-%02d-%02d %02d:%02d:%02d", c.year, c.month, c.day,
                 c.hour, c.minute, c.second);
   return buf;
@@ -130,7 +135,7 @@ std::string format_time(TimePoint t) {
 
 std::string format_date(TimePoint t) {
   const CivilDateTime c = t.to_civil();
-  char buf[16];
+  char buf[3 * kIntChars + 3];
   std::snprintf(buf, sizeof(buf), "%04d-%02d-%02d", c.year, c.month, c.day);
   return buf;
 }

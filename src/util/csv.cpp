@@ -1,142 +1,160 @@
 #include "util/csv.h"
 
+#include <array>
+#include <filesystem>
 #include <fstream>
 #include <ostream>
-#include <sstream>
 
 #include "util/strings.h"
 
 namespace tsufail {
 namespace {
 
-/// Index of the first of the four bytes at or after `pos`, or npos — a
-/// std::string_view::find_first_of without its per-byte memchr over the
-/// set.  Pass a repeated byte to search for fewer than four.
-std::size_t find_any_of4(std::string_view text, char c0, char c1, char c2, char c3,
-                         std::size_t pos) noexcept {
-  for (std::size_t i = pos; i < text.size(); ++i) {
-    const char c = text[i];
-    if (c == c0 || c == c1 || c == c2 || c == c3) return i;
-  }
-  return std::string_view::npos;
-}
+/// The bytes that end an unquoted field: delimiter, CR, LF and quote.
+constexpr std::array<bool, 256> kStructural = [] {
+  std::array<bool, 256> table{};
+  for (const unsigned char c : {',', '\r', '\n', '"'}) table[c] = true;
+  return table;
+}();
 
-/// Incremental RFC-4180 tokenizer over the whole document.
-///
-/// Structural characters (delimiter, CR, LF, quote) are located with
-/// find_any_of4, and the ordinary bytes between them are bulk-appended —
-/// the state machine only steps once per structural character instead of
-/// once per byte.
-class Tokenizer {
- public:
-  explicit Tokenizer(std::string_view text) : text_(text) {}
-
-  bool at_end() const noexcept { return pos_ >= text_.size(); }
-  std::size_t line() const noexcept { return line_; }
-
-  /// Parses one record (one logical row, possibly spanning physical lines
-  /// inside quotes). Returns an empty optional-like flag via `record.fields`
-  /// being empty AND at_end() for trailing blank content.
-  Result<CsvRecord> next_record() {
-    CsvRecord record;
-    record.line_number = line_;
-    std::string field;
-    bool in_quotes = false;
-    bool field_was_quoted = false;
-
-    while (true) {
-      if (at_end()) {
-        if (in_quotes)
-          return Error(ErrorKind::kParse,
-                       "unterminated quoted field starting near line " + std::to_string(record.line_number));
-        record.fields.push_back(std::move(field));
-        return record;
-      }
-      if (in_quotes) {
-        // Inside quotes only '"' and '\n' matter (the latter for line
-        // accounting); everything before the next one is field content.
-        const std::size_t hit = find_any_of4(text_, '"', '\n', '"', '\n', pos_);
-        if (hit == std::string_view::npos) {
-          pos_ = text_.size();
-          return Error(ErrorKind::kParse,
-                       "unterminated quoted field starting near line " + std::to_string(record.line_number));
-        }
-        field.append(text_, pos_, hit - pos_);
-        pos_ = hit + 1;
-        if (text_[hit] == '"') {
-          if (!at_end() && text_[pos_] == '"') {  // escaped quote
-            field += '"';
-            ++pos_;
-          } else {
-            in_quotes = false;
-          }
-        } else {  // '\n' inside a quoted field stays in the value
-          ++line_;
-          field += '\n';
-        }
-        continue;
-      }
-      const std::size_t hit = find_any_of4(text_, ',', '\r', '\n', '"', pos_);
-      if (hit == std::string_view::npos) {
-        field.append(text_, pos_, text_.size() - pos_);
-        pos_ = text_.size();
-        continue;  // the at_end() branch closes out the record
-      }
-      field.append(text_, pos_, hit - pos_);
-      pos_ = hit + 1;
-      switch (text_[hit]) {
-        case ',':
-          record.fields.push_back(std::move(field));
-          field.clear();
-          field_was_quoted = false;
-          break;
-        case '\r':
-          if (!at_end() && text_[pos_] == '\n') ++pos_;
-          [[fallthrough]];
-        case '\n':
-          ++line_;
-          record.fields.push_back(std::move(field));
-          return record;
-        case '"':
-          if (!field.empty() || field_was_quoted)
-            return Error(ErrorKind::kParse, "stray quote in field on line " + std::to_string(line_));
-          in_quotes = true;
-          field_was_quoted = true;
-          break;
-      }
-    }
-  }
-
- private:
-  std::string_view text_;
-  std::size_t pos_ = 0;
-  std::size_t line_ = 1;
-};
-
-bool is_blank_record(const CsvRecord& record) {
-  return record.fields.size() == 1 && trim(record.fields[0]).empty();
+/// Index of the first structural byte at or after `pos`, or text.size().
+std::size_t scan_unquoted(std::string_view text, std::size_t pos) noexcept {
+  while (pos < text.size() && !kStructural[static_cast<unsigned char>(text[pos])]) ++pos;
+  return pos;
 }
 
 }  // namespace
 
-Result<CsvDocument> CsvDocument::parse(std::string_view text) {
-  // Spreadsheet exports routinely prepend a UTF-8 byte-order mark; left
-  // in place it would glue itself onto the first header name and break
-  // column lookup.
+bool CsvRecord::blank() const noexcept { return fields.size() == 1 && trim(fields[0]).empty(); }
+
+std::string_view strip_utf8_bom(std::string_view text) noexcept {
   constexpr std::string_view kUtf8Bom = "\xEF\xBB\xBF";
   if (text.substr(0, kUtf8Bom.size()) == kUtf8Bom) text.remove_prefix(kUtf8Bom.size());
-  Tokenizer tokenizer(text);
+  return text;
+}
+
+Result<std::string> read_file_bytes(const std::string& path, std::string_view what) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return Error(ErrorKind::kIo, "cannot open " + std::string(what) + ": " + path);
+  // Size the buffer from the file and read straight into it; whatever the
+  // size did not cover (a pipe, a file still growing) is appended after.
+  std::error_code ec;
+  const auto size = std::filesystem::file_size(path, ec);
+  std::string bytes(ec ? 0 : size, '\0');
+  in.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  bytes.resize(static_cast<std::size_t>(in.gcount()));
+  char chunk[1 << 16];
+  while (in.read(chunk, sizeof chunk) || in.gcount() > 0)
+    bytes.append(chunk, static_cast<std::size_t>(in.gcount()));
+  if (in.bad()) return Error(ErrorKind::kIo, "read error on " + std::string(what) + ": " + path);
+  return bytes;
+}
+
+CsvStep CsvCursor::next_field(std::string_view& field, std::string& scratch) {
+  if (!in_record_) {
+    in_record_ = true;
+    record_line_ = line_;
+  }
+  const std::size_t end = scan_unquoted(text_, pos_);
+  if (end < text_.size() && text_[end] == '"') {
+    if (end != pos_) return fail(Fault::kStrayQuote, line_);
+    return quoted_field(end, field, scratch);
+  }
+  field = text_.substr(pos_, end - pos_);
+  return end_field(end);
+}
+
+CsvStep CsvCursor::quoted_field(std::size_t open, std::string_view& field, std::string& scratch) {
+  // The value is one slice of the document unless a "" escape or text
+  // after the closing quote forces a copy into `scratch`.
+  bool copied = false;
+  std::size_t start = open + 1;
+  std::size_t pos = start;
+  while (true) {
+    while (pos < text_.size() && text_[pos] != '"') {
+      if (text_[pos] == '\n') ++line_;
+      ++pos;
+    }
+    if (pos >= text_.size()) {
+      pos_ = text_.size();
+      return fail(Fault::kUnterminatedQuote, record_line_);
+    }
+    if (pos + 1 >= text_.size() || text_[pos + 1] != '"') break;  // closing quote
+    if (!copied) scratch.clear();
+    scratch.append(text_, start, pos + 1 - start);  // through the first quote of the pair
+    copied = true;
+    pos += 2;
+    start = pos;
+  }
+  std::string_view value = text_.substr(start, pos - start);
+  const std::size_t after = pos + 1;
+  const std::size_t end = scan_unquoted(text_, after);
+  if (end < text_.size() && text_[end] == '"') return fail(Fault::kStrayQuote, line_);
+  if (copied || end != after) {
+    if (!copied) scratch.clear();
+    scratch.append(value);
+    scratch.append(text_, after, end - after);
+    value = scratch;
+  }
+  field = value;
+  return end_field(end);
+}
+
+CsvStep CsvCursor::end_field(std::size_t end) {
+  if (end >= text_.size()) {
+    pos_ = text_.size();
+    in_record_ = false;
+    return CsvStep::kLastField;
+  }
+  const char c = text_[end];
+  pos_ = end + 1;
+  if (c == ',') return CsvStep::kField;
+  if (c == '\r' && pos_ < text_.size() && text_[pos_] == '\n') ++pos_;
+  ++line_;
+  in_record_ = false;
+  return CsvStep::kLastField;
+}
+
+CsvStep CsvCursor::fail(Fault fault, std::size_t line) {
+  fault_ = fault;
+  fault_line_ = line;
+  return CsvStep::kFault;
+}
+
+bool CsvCursor::read_record(CsvRecord& record) {
+  record.fields.clear();
+  record.line_number = line_;
+  std::string scratch;
+  std::string_view field;
+  CsvStep step;
+  do {
+    step = next_field(field, scratch);
+    if (step == CsvStep::kFault) return false;
+    record.fields.emplace_back(field);
+  } while (step == CsvStep::kField);
+  return true;
+}
+
+Error CsvCursor::error() const {
+  if (fault_ == Fault::kUnterminatedQuote)
+    return Error(ErrorKind::kParse,
+                 "unterminated quoted field starting near line " + std::to_string(fault_line_));
+  return Error(ErrorKind::kParse, "stray quote in field on line " + std::to_string(fault_line_));
+}
+
+Result<CsvDocument> CsvDocument::parse(std::string_view text) {
+  CsvCursor cursor(strip_utf8_bom(text));
   CsvDocument doc;
   bool have_header = false;
-  while (!tokenizer.at_end()) {
-    auto record = tokenizer.next_record();
-    if (!record.ok()) return record.error();
-    if (is_blank_record(record.value())) continue;  // skip blank lines anywhere
+  CsvRecord record;
+  while (!cursor.at_end()) {
+    if (!cursor.read_record(record)) return cursor.error();
+    if (record.blank()) continue;  // skip blank lines anywhere
     if (!have_header) {
-      doc.header_ = std::move(record.value().fields);
+      doc.header_ = std::move(record.fields);
       have_header = true;
     } else {
-      doc.records_.push_back(std::move(record.value()));
+      doc.records_.push_back(std::move(record));
     }
   }
   if (!have_header)
@@ -145,14 +163,9 @@ Result<CsvDocument> CsvDocument::parse(std::string_view text) {
 }
 
 Result<CsvDocument> CsvDocument::read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in)
-    return Error(ErrorKind::kIo, "cannot open file: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad())
-    return Error(ErrorKind::kIo, "read error on file: " + path);
-  auto doc = parse(buffer.str());
+  auto bytes = read_file_bytes(path);
+  if (!bytes.ok()) return bytes.error();
+  auto doc = parse(bytes.value());
   if (!doc.ok()) return doc.error().with_context(path);
   return doc;
 }

@@ -2,16 +2,22 @@
 // covers every phase (generate / index / analyze / reduce) for every
 // replicate cell, the Chrome-trace export of a real run validates, and
 // the counter snapshot is bit-identical at --jobs 1/2/8 — the obs
-// determinism contract on the sharded Monte Carlo engine.
+// determinism contract on the sharded Monte Carlo engine.  A profiled
+// CSV log also attributes its read to a span.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "cli/commands.h"
+#include "data/log_io.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
 #include "obs/trace.h"
+#include "sim/generator.h"
 #include "sim/montecarlo.h"
 #include "sim/tsubame_models.h"
 
@@ -101,6 +107,24 @@ TEST_F(PipelineObsTest, CounterSnapshotIsBitIdenticalAcrossJobs) {
   ASSERT_FALSE(runs[0].empty());
   EXPECT_EQ(runs[1], runs[0]);
   EXPECT_EQ(runs[2], runs[0]);
+}
+
+TEST_F(PipelineObsTest, ProfilingACsvLogAttributesTheReadToOneSpan) {
+  // The CSV read is its own span, one per file and none per row, so
+  // `tsufail profile` and `analyze --trace` show what parsing costs.
+  const std::string path = ::testing::TempDir() + "/tsufail_profile_read.csv";
+  const auto log = sim::generate_log(sim::tsubame3_model(), 5).value();
+  ASSERT_TRUE(data::write_log_file(path, log).ok());
+
+  std::ostringstream out, err;
+  ASSERT_EQ(cli::dispatch({"profile", path, "--top", "100"}, out, err), 0) << err.str();
+  std::remove(path.c_str());
+  EXPECT_NE(out.str().find("csv.read_log"), std::string::npos) << out.str();
+
+  const auto spans = spans_by_name(obs::collect_trace());
+  ASSERT_TRUE(spans.count("csv.read_log"));
+  EXPECT_EQ(spans.at("csv.read_log"), 1u);
+  EXPECT_EQ(spans.at("cli.profile"), 1u);
 }
 
 TEST_F(PipelineObsTest, DisabledSweepRecordsNoSpansOrCounts) {
