@@ -69,7 +69,7 @@ data::Machine machine_of(const benchmark::State& state) {
 
 // The pre-LogIndex study shape: every analysis goes through its
 // FailureLog entry point and scans/indexes the log for itself.  This is
-// the baseline the shared-index executor is measured against.
+// the baseline the shared-index study is measured against.
 void BM_StudyPerAnalysis(benchmark::State& state) {
   const auto& log = corpus(machine_of(state), state.range(1));
   for (auto _ : state) {

@@ -2,15 +2,17 @@
 //
 // This is the convenience entry point for downstream users ("run the
 // DSN'21 study on my log").  The log is indexed once (data::LogIndex) and
-// the independent analyses are dispatched over it through the Executor,
-// optionally in parallel (StudyOptions::jobs); the assembled report is
-// identical for any thread count.  Analyses that are undefined for a
-// given log (e.g. multi-GPU clustering on a log with no multi-GPU
-// failures) are carried as std::optional and simply absent, with the
-// reason recorded in StudyReport::skipped.
+// the independent analyses fan out over it with util::parallel_for,
+// optionally in parallel (StudyOptions::jobs); each writes only its own
+// report slot, so the assembled report is identical for any thread
+// count.  Analyses that are undefined for a given log (e.g. multi-GPU
+// clustering on a log with no multi-GPU failures) are carried as
+// std::optional and simply absent, with the reason recorded in
+// StudyReport::skipped.
 #pragma once
 
 #include <optional>
+#include <span>
 #include <string>
 
 #include "analysis/category_breakdown.h"
@@ -57,6 +59,24 @@ struct StudyReport {
   /// study runs them, each with the error explaining why.
   std::vector<SkippedAnalysis> skipped;
 };
+
+/// One analysis of the study: its name (in StudyReport::skipped and the
+/// `study.<name>` span), whether its failure aborts the whole study, and
+/// the function that computes it into its own slot of the report.
+struct StudyAnalysis {
+  const char* name;
+  bool required;
+  Result<void> (*run)(const data::LogIndex& index, StudyReport& report);
+};
+
+/// The fan-out half of run_study: runs every analysis once over `index`
+/// on up to `jobs` workers (see StudyOptions::jobs).  The first required
+/// analysis to fail, in table order, aborts with "run_study: <name>";
+/// other failures are listed in StudyReport::skipped in table order.  An
+/// analysis that throws fails with ErrorKind::kInternal.  Exposed so
+/// tests can run a table with failing or throwing rows.
+Result<StudyReport> run_analyses(const data::LogIndex& index,
+                                 std::span<const StudyAnalysis> analyses, std::size_t jobs);
 
 /// Runs the full study on one log.  Errors only on conditions that make
 /// the whole study meaningless (empty log, or a required analysis

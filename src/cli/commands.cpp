@@ -110,6 +110,16 @@ OptionSpec jobs_option() {
           std::string("1")};
 }
 
+/// Reads --jobs as a worker count (0 = one per hardware thread); a value
+/// below 0 fails with `negative_error`.
+Result<std::size_t> get_jobs(const ParsedArgs& args,
+                             const char* negative_error = "--jobs must be >= 0") {
+  auto jobs = args.get_int("jobs");
+  if (!jobs.ok()) return jobs.error();
+  if (jobs.value() < 0) return Error(ErrorKind::kDomain, negative_error);
+  return static_cast<std::size_t>(jobs.value());
+}
+
 // --- observability plumbing -------------------------------------------
 //
 // Commands that can run long accept --trace FILE (Chrome-trace JSON for
@@ -198,11 +208,9 @@ Result<void> write_obs_outputs(const ObsRequest& request, std::ostream& out) {
 }
 
 Result<analysis::StudyOptions> resolve_study_options(const ParsedArgs& args) {
-  auto jobs = args.get_int("jobs");
+  auto jobs = get_jobs(args);
   if (!jobs.ok()) return jobs.error();
-  if (jobs.value() < 0)
-    return Error(ErrorKind::kDomain, "--jobs must be >= 0");
-  return analysis::StudyOptions{static_cast<std::size_t>(jobs.value())};
+  return analysis::StudyOptions{jobs.value()};
 }
 
 // --- simulate -----------------------------------------------------------
@@ -304,10 +312,8 @@ Result<void> run_sweep_command(const ParsedArgs& args, std::ostream& out) {
   const long long replicates = args.flag("quick") ? 4 : replicates_arg.value();
   if (replicates <= 0)
     return Error(ErrorKind::kDomain, "--replicates must be positive");
-  auto jobs = args.get_int("jobs");
+  auto jobs = get_jobs(args);
   if (!jobs.ok()) return jobs.error();
-  if (jobs.value() < 0)
-    return Error(ErrorKind::kDomain, "--jobs must be >= 0");
   auto seed = args.get_int("seed");
   if (!seed.ok()) return seed.error();
   auto level = args.get_double("level");
@@ -343,7 +349,7 @@ Result<void> run_sweep_command(const ParsedArgs& args, std::ostream& out) {
   sim::SweepOptions options;
   options.base_seed = static_cast<std::uint64_t>(seed.value());
   options.replicates = static_cast<std::size_t>(replicates);
-  options.jobs = static_cast<std::size_t>(jobs.value());
+  options.jobs = jobs.value();
   options.ci_level = level.value();
   auto sweep = sim::run_sweep(variants, options);
   if (!sweep.ok()) return sweep.error();
@@ -513,17 +519,15 @@ Result<void> run_repairs(const ParsedArgs& args, std::ostream& out) {
   const long long replicates = args.flag("quick") ? 4 : replicates_arg.value();
   if (replicates <= 0)
     return Error(ErrorKind::kDomain, "--replicates must be positive");
-  auto jobs = args.get_int("jobs");
+  auto jobs = get_jobs(args);
   if (!jobs.ok()) return jobs.error();
-  if (jobs.value() < 0)
-    return Error(ErrorKind::kDomain, "--jobs must be >= 0");
   auto level = args.get_double("level");
   if (!level.ok()) return level.error();
 
   ops::RepairSweepOptions options;
   options.sweep.base_seed = static_cast<std::uint64_t>(seed.value());
   options.sweep.replicates = static_cast<std::size_t>(replicates);
-  options.sweep.jobs = static_cast<std::size_t>(jobs.value());
+  options.sweep.jobs = jobs.value();
   options.sweep.ci_level = level.value();
   options.job_mix = mix;
 
@@ -1380,15 +1384,16 @@ Result<void> run_serve(const ParsedArgs& args, std::ostream& out) {
   if (!reorder.ok()) return reorder.error();
   auto slack = args.get_double("slack-hours");
   if (!slack.ok()) return slack.error();
-  auto jobs = args.get_int("jobs");
-  if (!jobs.ok()) return jobs.error();
   auto max_line = args.get_int("max-line-bytes");
   if (!max_line.ok()) return max_line.error();
   if (port.value() < 0 || port.value() > 65535)
     return Error(ErrorKind::kDomain, "--port must be in [0, 65535]");
-  if (cache_capacity.value() < 0 || epoch_every.value() < 0 || jobs.value() < 0)
-    return Error(ErrorKind::kDomain,
-                 "--cache-capacity, --epoch-every and --jobs must be >= 0");
+  constexpr const char* kNegativeCounts =
+      "--cache-capacity, --epoch-every and --jobs must be >= 0";
+  if (cache_capacity.value() < 0 || epoch_every.value() < 0)
+    return Error(ErrorKind::kDomain, kNegativeCounts);
+  auto jobs = get_jobs(args, kNegativeCounts);
+  if (!jobs.ok()) return jobs.error();
   if (max_line.value() <= 0) return Error(ErrorKind::kDomain, "--max-line-bytes must be positive");
   auto slo_p99 = args.get_double("slo-query-p99");
   if (!slo_p99.ok()) return slo_p99.error();
@@ -1413,7 +1418,7 @@ Result<void> run_serve(const ParsedArgs& args, std::ostream& out) {
 
   serve::ServiceConfig config;
   config.cache_capacity = static_cast<std::size_t>(cache_capacity.value());
-  config.study_jobs = static_cast<std::size_t>(jobs.value());
+  config.study_jobs = jobs.value();
   config.slo.query_p99_seconds = slo_p99.value();
   config.tenant.stream.reorder_horizon_hours = reorder.value();
   config.tenant.slack_hours = slack.value();

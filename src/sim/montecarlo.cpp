@@ -1,9 +1,6 @@
 #include "sim/montecarlo.h"
 
-#include <algorithm>
-#include <atomic>
 #include <cctype>
-#include <thread>
 #include <unordered_map>
 #include <utility>
 
@@ -11,6 +8,7 @@
 #include "obs/obs.h"
 #include "sim/generator.h"
 #include "stats/descriptive.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 
 namespace tsufail::sim {
@@ -171,24 +169,21 @@ Result<SweepResult> run_sweep(std::span<const SweepVariant> variants,
 
   OBS_SPAN("sweep.run");
 
-  // One cell per (variant, replicate), flattened variant-major.  Workers
-  // claim cells off an atomic cursor but write only their own slot, so
-  // the assembled result is independent of scheduling.
+  // One cell per (variant, replicate), flattened variant-major.  Each
+  // cell writes only its own slot, so the assembled result is independent
+  // of scheduling.
   const std::size_t total = variants.size() * options.replicates;
   std::vector<std::optional<ReplicateResult>> cells(total);
   std::vector<std::optional<Error>> cell_errors(total);
-  std::atomic<std::size_t> next_cell{0};
 
   static obs::Counter cells_counter = obs::counter("sweep.cells");
   static obs::Histogram cell_seconds =
       obs::histogram("sweep.cell_seconds", obs::time_buckets_seconds());
 
-  const auto worker = [&]() {
-    // Recycled across this worker's replicates: the record storage flows
-    // generate_log -> FailureLog -> take_records and back.
-    std::vector<data::FailureRecord> buffer;
-    for (std::size_t cell = next_cell.fetch_add(1); cell < total;
-         cell = next_cell.fetch_add(1)) {
+  // Per worker: the record storage, recycled across that worker's cells
+  // as it flows generate_log -> FailureLog -> take_records and back.
+  const auto make_worker = [&] {
+    return [&, buffer = std::vector<data::FailureRecord>{}](std::size_t cell) mutable {
       const std::size_t variant = cell / options.replicates;
       const std::size_t replicate = cell % options.replicates;
       OBS_SPAN("sweep.cell");
@@ -204,7 +199,7 @@ Result<SweepResult> run_sweep(std::span<const SweepVariant> variants,
         if (!log.ok()) {
           buffer = {};
           cell_errors[cell] = log.error();
-          continue;
+          return;
         }
         result.failures = log.value().size();
         const ReplicateStage& stage =
@@ -217,7 +212,7 @@ Result<SweepResult> run_sweep(std::span<const SweepVariant> variants,
           buffer = data::FailureLog::take_records(std::move(log).value());
           if (!samples.ok()) {
             cell_errors[cell] = samples.error();
-            continue;
+            return;
           }
           result.metrics = std::move(samples.value());
         } else {
@@ -228,7 +223,7 @@ Result<SweepResult> run_sweep(std::span<const SweepVariant> variants,
           buffer = data::FailureLog::take_records(std::move(log).value());
           if (!study.ok()) {
             cell_errors[cell] = study.error();
-            continue;
+            return;
           }
           result.metrics = study_metrics(study.value());
           if (options.keep_reports) result.report = std::move(study.value());
@@ -241,22 +236,11 @@ Result<SweepResult> run_sweep(std::span<const SweepVariant> variants,
         cell_errors[cell] =
             Error(ErrorKind::kInternal, std::string("uncaught exception: ") + e.what());
       }
-    }
+    };
   };
-
-  std::size_t workers =
-      options.jobs == 0 ? std::max(1u, std::thread::hardware_concurrency()) : options.jobs;
-  workers = std::min(workers, total);
+  const std::size_t workers = util::parallel_for(total, options.jobs, make_worker);
   static obs::Gauge workers_gauge = obs::gauge("sweep.workers");
   workers_gauge.set(static_cast<double>(workers));
-  if (workers <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) threads.emplace_back(worker);
-    for (auto& thread : threads) thread.join();
-  }
 
   // First failing cell in deterministic (variant, replicate) order wins.
   for (std::size_t cell = 0; cell < total; ++cell) {

@@ -1,11 +1,10 @@
 #include "stats/bootstrap.h"
 
 #include <algorithm>
-#include <atomic>
-#include <thread>
 #include <vector>
 
 #include "stats/descriptive.h"
+#include "util/parallel.h"
 
 namespace tsufail::stats {
 namespace {
@@ -38,36 +37,18 @@ Result<ConfidenceInterval> bootstrap_ci(
   const std::size_t shard_count = (replicates + kShardSize - 1) / kShardSize;
 
   std::vector<double> replicate_stats(replicates);
-  const auto run_shard = [&](std::size_t shard, std::vector<double>& resample) {
-    Rng shard_rng = rng.fork(shard);
-    const std::size_t begin = shard * kShardSize;
-    const std::size_t end = std::min(begin + kShardSize, replicates);
-    for (std::size_t r = begin; r < end; ++r) {
-      for (double& x : resample) x = sample[shard_rng.uniform_index(n)];
-      replicate_stats[r] = statistic(resample);
-    }
-  };
-
-  std::size_t workers = jobs == 0 ? std::max(1u, std::thread::hardware_concurrency()) : jobs;
-  workers = std::min(workers, shard_count);
-  if (workers <= 1) {
-    std::vector<double> resample(n);
-    for (std::size_t shard = 0; shard < shard_count; ++shard) run_shard(shard, resample);
-  } else {
-    std::atomic<std::size_t> next_shard{0};
-    std::vector<std::thread> threads;
-    threads.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-      threads.emplace_back([&] {
-        std::vector<double> resample(n);
-        for (std::size_t shard = next_shard.fetch_add(1); shard < shard_count;
-             shard = next_shard.fetch_add(1)) {
-          run_shard(shard, resample);
-        }
-      });
-    }
-    for (auto& thread : threads) thread.join();
-  }
+  // Per worker: the resample buffer, reused across that worker's shards.
+  util::parallel_for(shard_count, jobs, [&] {
+    return [&, resample = std::vector<double>(n)](std::size_t shard) mutable {
+      Rng shard_rng = rng.fork(shard);
+      const std::size_t begin = shard * kShardSize;
+      const std::size_t end = std::min(begin + kShardSize, replicates);
+      for (std::size_t r = begin; r < end; ++r) {
+        for (double& x : resample) x = sample[shard_rng.uniform_index(n)];
+        replicate_stats[r] = statistic(resample);
+      }
+    };
+  });
 
   std::sort(replicate_stats.begin(), replicate_stats.end());
   const double alpha = (1.0 - level) / 2.0;

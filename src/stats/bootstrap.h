@@ -32,9 +32,10 @@ struct ConfidenceInterval {
 /// be a pure function of its argument: shards run concurrently when
 /// jobs != 1, so only the per-replicate result slot is guaranteed, not
 /// the call order.
-/// `jobs` shards the replicate loop across worker threads: 1 (default)
-/// stays on the calling thread, 0 uses one worker per hardware thread;
-/// the bounds are identical for every value.
+/// `jobs` runs the shards on util::parallel_for: up to min(jobs, shard
+/// count) workers, the calling thread among them, so 1 (default) starts
+/// no thread and 0 uses one worker per hardware thread; each worker
+/// reuses one resample buffer.  The bounds are identical for every value.
 /// Errors: empty sample, replicates == 0, level outside (0, 1).
 Result<ConfidenceInterval> bootstrap_ci(
     std::span<const double> sample,

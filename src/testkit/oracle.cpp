@@ -728,7 +728,7 @@ OracleReport run_oracle(const data::FailureLog& log, const OracleOptions& option
         analysis::analyze_category_burstiness(log),
         analysis::analyze_category_burstiness(index));
 
-  // The assembled study, serial reference vs the executor at every
+  // The assembled study, serial reference vs run_study at every
   // configured thread count.
   const auto study_reference = ref_run_study(log);
   for (std::size_t jobs : options.thread_counts) {

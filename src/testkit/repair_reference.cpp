@@ -103,23 +103,24 @@ Result<ops::RepairShopResult> reference_repair_shop(const data::FailureLog& log,
   std::vector<bool> crew_busy(config.crews, false);
 
   // Full-scan helpers — recomputed from scratch every time, on purpose.
+  int max_node = 0;
+  for (const RefJob& job : jobs) max_node = std::max(max_node, job.node);
+  std::vector<int> node_units(static_cast<std::size_t>(max_node) + 1, 0);
   const auto lost_units_now = [&]() {
-    // Sum per-node capped losses by scanning all open jobs per open job.
+    // Sum open units per node, then cap each node's total at g.  The
+    // second pass zeroes each node as it counts it, so the buffer is
+    // clean for the next call.
+    const auto open = [](const RefJob& job) {
+      return job.phase == Phase::kWaiting || job.phase == Phase::kInService;
+    };
+    for (const RefJob& job : jobs) {
+      if (open(job)) node_units[job.node] += job.units;
+    }
     long long lost = 0;
-    std::vector<int> seen_nodes;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (jobs[i].phase != Phase::kWaiting && jobs[i].phase != Phase::kInService) continue;
-      if (std::find(seen_nodes.begin(), seen_nodes.end(), jobs[i].node) != seen_nodes.end()) {
-        continue;
-      }
-      seen_nodes.push_back(jobs[i].node);
-      int node_total = 0;
-      for (std::size_t j = 0; j < n; ++j) {
-        if (jobs[j].node != jobs[i].node) continue;
-        if (jobs[j].phase != Phase::kWaiting && jobs[j].phase != Phase::kInService) continue;
-        node_total += jobs[j].units;
-      }
-      lost += std::min(g, node_total);
+    for (const RefJob& job : jobs) {
+      if (!open(job) || node_units[job.node] == 0) continue;
+      lost += std::min(g, node_units[job.node]);
+      node_units[job.node] = 0;
     }
     return lost;
   };

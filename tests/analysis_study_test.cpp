@@ -2,6 +2,7 @@
 // optionals and empty vectors, never errors (except the empty log).
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -175,6 +176,32 @@ TEST(RunStudy, RequiredAnalysisFailureNamesTheAnalysis) {
   const auto study = run_study(t2_log({}));
   ASSERT_FALSE(study.ok());
   EXPECT_NE(study.error().message().find("empty log"), std::string::npos);
+}
+
+TEST(RunStudy, ThrowingAnalysisBecomesAnInternalErrorNamingIt) {
+  const auto log = t2_log({rec(1, Category::kCpu, "2012-06-01")});
+  const data::LogIndex index(log);
+  const auto fine = [](const data::LogIndex&, StudyReport&) -> Result<void> { return {}; };
+  const auto boom = [](const data::LogIndex&, StudyReport&) -> Result<void> {
+    throw std::runtime_error("boom");
+  };
+  for (std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+    const StudyAnalysis optional_rows[] = {{"fine", false, fine}, {"thrower", false, boom}};
+    const auto study = run_analyses(index, optional_rows, jobs);
+    ASSERT_TRUE(study.ok()) << study.error().to_string();
+    ASSERT_EQ(study.value().skipped.size(), 1u);
+    EXPECT_EQ(study.value().skipped[0].analysis, "thrower");
+    EXPECT_EQ(study.value().skipped[0].error.kind(), ErrorKind::kInternal);
+    EXPECT_EQ(study.value().skipped[0].error.message(), "task threw: boom");
+
+    // Required rows abort the study; the first failure in table order wins.
+    const StudyAnalysis required_rows[] = {
+        {"fine", true, fine}, {"thrower", true, boom}, {"later", true, boom}};
+    const auto failed = run_analyses(index, required_rows, jobs);
+    ASSERT_FALSE(failed.ok());
+    EXPECT_EQ(failed.error().kind(), ErrorKind::kInternal);
+    EXPECT_EQ(failed.error().message(), "run_study: thrower: task threw: boom");
+  }
 }
 
 }  // namespace
