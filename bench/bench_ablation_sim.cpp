@@ -16,7 +16,6 @@
 #include <cstdio>
 
 #include "bench_common.h"
-#include "obs/obs.h"
 #include "report/table.h"
 #include "sim/montecarlo.h"
 
@@ -51,9 +50,7 @@ int main() {
   options.base_seed = bench::kBenchSeed;
   options.replicates = kReplicates;
   options.jobs = 0;  // all hardware threads; aggregates identical to jobs=1
-  const obs::Stopwatch watch;
   const auto sweep = sim::run_sweep(variants, options).value();
-  const double wall_s = watch.seconds();
 
   report::Table table({"Variant", "multi-failure nodes %", "slot imbalance",
                        "multi-GPU gap CV", "H2/H1 TTR"});
@@ -82,12 +79,5 @@ int main() {
           sweep.variants[4].mean_of("h2_h1_ttr_ratio"), 0.2, "x");
   bench::print_comparisons(cmp);
 
-  bench::PerfJson perf("ablation_sim");
-  perf.set("variants", static_cast<std::int64_t>(variants.size()));
-  perf.set("replicates_per_variant", static_cast<std::int64_t>(kReplicates));
-  perf.set("wall_s", wall_s);
-  perf.set("replicates_per_s",
-           static_cast<double>(variants.size() * kReplicates) / wall_s);
-  perf.write();
   return bench::exit_code();
 }

@@ -1,12 +1,8 @@
 #include "bench_common.h"
 
-#include <cinttypes>
 #include <cstdio>
-#include <fstream>
-#include <thread>
 
 #include "sim/generator.h"
-#include "util/build_info.h"
 
 namespace tsufail::bench {
 namespace {
@@ -38,65 +34,5 @@ void print_comparisons(const report::ComparisonSet& set) {
 }
 
 int exit_code() { return g_mismatches == 0 ? 0 : 1; }
-
-void PerfJson::set(const std::string& key, double value) { fields_.emplace_back(key, value); }
-void PerfJson::set(const std::string& key, std::int64_t value) { fields_.emplace_back(key, value); }
-void PerfJson::set(const std::string& key, const std::string& value) {
-  fields_.emplace_back(key, value);
-}
-
-std::string PerfJson::render() const {
-  std::string json = "{\n";
-  json += "  \"bench\": \"" + name_ + "\"";
-  char buffer[64];
-  for (const auto& [key, value] : fields_) {
-    json += ",\n  \"" + key + "\": ";
-    if (const auto* num = std::get_if<double>(&value)) {
-      std::snprintf(buffer, sizeof buffer, "%.17g", *num);
-      json += buffer;
-    } else if (const auto* integer = std::get_if<std::int64_t>(&value)) {
-      std::snprintf(buffer, sizeof buffer, "%" PRId64, *integer);
-      json += buffer;
-    } else {
-      json += "\"" + std::get<std::string>(value) + "\"";
-    }
-  }
-  // Environment block: present in every record so perf numbers are never
-  // compared across machines or build flavors without noticing.
-  const util::BuildInfo& build = util::build_info();
-  json += ",\n  \"env_hw_threads\": " + std::to_string(std::thread::hardware_concurrency());
-  json += ",\n  \"env_compiler\": \"" + build.compiler + "\"";
-  json += ",\n  \"env_build_type\": \"" + build.build_type + "\"";
-  json += ",\n  \"env_flags\": \"" + build.flags + "\"";
-  json += "\n}\n";
-  return json;
-}
-
-bool PerfJson::write(const std::string& dir) const {
-  const std::string path = dir + "/BENCH_" + name_ + ".json";
-  std::ofstream file(path, std::ios::binary);
-  if (file) file << render();
-  if (!file || !file.flush()) {
-    std::printf("perf json: cannot write %s\n", path.c_str());
-    return false;
-  }
-  std::printf("perf json: wrote %s\n", path.c_str());
-  return true;
-}
-
-void add_span_aggregates(PerfJson& perf, const std::vector<obs::ProfileEntry>& entries,
-                         std::size_t top) {
-  std::size_t added = 0;
-  for (const auto& entry : entries) {
-    if (added++ >= top) break;
-    std::string key = "span_" + entry.name;
-    for (char& c : key) {
-      if (c == '.' || c == '-') c = '_';
-    }
-    perf.set(key + "_count", static_cast<std::int64_t>(entry.count));
-    perf.set(key + "_total_s", static_cast<double>(entry.total_ns) * 1e-9);
-    perf.set(key + "_self_s", static_cast<double>(entry.self_ns) * 1e-9);
-  }
-}
 
 }  // namespace tsufail::bench

@@ -48,28 +48,32 @@ struct ExemplarCell {
   std::atomic<std::uint64_t> window{0};   ///< 0 = empty
 };
 
-/// Writer side of the seqlock (Boehm's seqlock-with-fences shape).
+/// Writer side of the seqlock.  The orderings sit on the atomics
+/// themselves (no standalone fences, which ThreadSanitizer cannot model):
+/// each field store is a release, so a reader that sees any new field
+/// also sees the odd version stored before it.
 void exemplar_store(ExemplarCell& cell, double value, std::uint64_t trace_id,
                     std::uint64_t window) noexcept {
   const std::uint64_t v = cell.version.load(std::memory_order_relaxed);
   cell.version.store(v + 1, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
-  cell.value.store(value, std::memory_order_relaxed);
-  cell.trace_id.store(trace_id, std::memory_order_relaxed);
-  cell.window.store(window, std::memory_order_relaxed);
+  cell.value.store(value, std::memory_order_release);
+  cell.trace_id.store(trace_id, std::memory_order_release);
+  cell.window.store(window, std::memory_order_release);
   cell.version.store(v + 2, std::memory_order_release);
 }
 
 /// Reader side: returns false when the cell is empty or stayed unstable
 /// across the retry budget (a writer storm; the exemplar is best-effort).
+/// The field loads are acquires so the version re-check cannot be
+/// reordered before them; a field from a newer write then makes the
+/// re-check see that write's odd (or later) version, and the read retries.
 bool exemplar_read(const ExemplarCell& cell, HistogramValue::Exemplar& out) noexcept {
   for (int attempt = 0; attempt < 100; ++attempt) {
     const std::uint64_t v1 = cell.version.load(std::memory_order_acquire);
     if (v1 & 1) continue;
-    const double value = cell.value.load(std::memory_order_relaxed);
-    const std::uint64_t trace_id = cell.trace_id.load(std::memory_order_relaxed);
-    const std::uint64_t window = cell.window.load(std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_acquire);
+    const double value = cell.value.load(std::memory_order_acquire);
+    const std::uint64_t trace_id = cell.trace_id.load(std::memory_order_acquire);
+    const std::uint64_t window = cell.window.load(std::memory_order_acquire);
     if (cell.version.load(std::memory_order_relaxed) != v1) continue;
     if (window == 0) return false;
     out.value = value;

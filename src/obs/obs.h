@@ -8,8 +8,9 @@
 //     enabled() to a constant false.  Runtime (the default build):
 //     instrumentation is compiled in but dormant — every instrumented
 //     site costs one relaxed atomic load and a predictable branch until
-//     obs::set_enabled(true).  bench_run_study gates the dormant cost at
-//     < 1% of a study run.
+//     obs::set_enabled(true).  perfbench's end-to-end times run
+//     untraced, so the dormant cost is inside every gated metric
+//     (perfbench/README.md).
 //
 //   * Scoped RAII tracing.  OBS_SPAN("name") records a completed span
 //     (name, start, end) into a per-thread lock-free-in-spirit ring

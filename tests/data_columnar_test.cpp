@@ -3,18 +3,23 @@
 // or corrupted inputs.  Bit-compatibility of the *analyses* run on a
 // loaded snapshot is the differential oracle's job
 // (testkit::run_oracle's snapshot_roundtrip check); this file owns the
-// format itself.
+// format itself, plus one end-to-end check of the file path `tsufail
+// pack` takes: the study report and the unpacked CSV must match the
+// source CSV byte for byte.
 #include "data/columnar.h"
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdio>
+#include <fstream>
 #include <string>
 
+#include "analysis/study.h"
 #include "data/log_index.h"
 #include "data/log_io.h"
 #include "data/snapshot.h"
+#include "report/study_text.h"
 #include "sim/generator.h"
 #include "sim/tsubame_models.h"
 #include "testkit/generator.h"
@@ -103,25 +108,45 @@ TEST(ColumnarPack, FromSortedPreservesTieOrder) {
 }
 
 TEST(ColumnarFile, MapAndStreamLoadsAgree) {
-  auto log = sim::generate_log(sim::tsubame3_model(), 5).value();
-  const LogIndex index(log);
-  const std::string bytes = pack_columnar(log, &index);
-  const std::string path = std::string(::testing::TempDir()) + "columnar_map_stream.tsnap";
-  ASSERT_TRUE(write_columnar_file(path, bytes).ok());
+  // The `tsufail pack` path for both presets: CSV file -> parsed log ->
+  // .tsnap file.  Whichever way the snapshot is loaded, it must render
+  // the same study report as the CSV and unpack to the same CSV bytes.
+  for (const auto& model : {sim::tsubame2_model(), sim::tsubame3_model()}) {
+    const std::string csv = write_log_csv(sim::generate_log(model, 5).value());
+    const std::string stem = std::string(::testing::TempDir()) + "columnar_map_stream_" +
+                             std::to_string(static_cast<int>(model.spec.machine));
+    const std::string csv_path = stem + ".csv";
+    const std::string snap_path = stem + ".tsnap";
+    {
+      std::ofstream out(csv_path, std::ios::binary);
+      out << csv;
+    }
+    auto parsed = read_log_file(csv_path, ReadPolicy::kStrict);
+    ASSERT_TRUE(parsed.ok()) << parsed.error().to_string();
+    const FailureLog& log = parsed.value().log;
+    const LogIndex index(log);
+    ASSERT_TRUE(write_columnar_file(snap_path, pack_columnar(log, &index)).ok());
 
-  auto mapped = ColumnarSnapshot::open(path, SnapshotLoadMode::kMap);
-  auto streamed = ColumnarSnapshot::open(path, SnapshotLoadMode::kStream);
-  std::remove(path.c_str());
+    auto mapped = ColumnarSnapshot::open(snap_path, SnapshotLoadMode::kMap);
+    auto streamed = ColumnarSnapshot::open(snap_path, SnapshotLoadMode::kStream);
+    std::remove(csv_path.c_str());
+    std::remove(snap_path.c_str());
 #if defined(__unix__) || defined(__APPLE__)
-  ASSERT_TRUE(mapped.ok()) << mapped.error().to_string();
-  EXPECT_TRUE(mapped.value()->mapped());
+    ASSERT_TRUE(mapped.ok()) << mapped.error().to_string();
+    EXPECT_TRUE(mapped.value()->mapped());
 #else
-  ASSERT_TRUE(mapped.ok()) << mapped.error().to_string();  // falls back to streaming
+    ASSERT_TRUE(mapped.ok()) << mapped.error().to_string();  // falls back to streaming
 #endif
-  ASSERT_TRUE(streamed.ok()) << streamed.error().to_string();
-  EXPECT_FALSE(streamed.value()->mapped());
-  expect_same_records(mapped.value()->to_log(), streamed.value()->to_log());
-  EXPECT_EQ(write_log_csv(mapped.value()->to_log()), write_log_csv(log));
+    ASSERT_TRUE(streamed.ok()) << streamed.error().to_string();
+    EXPECT_FALSE(streamed.value()->mapped());
+    const FailureLog loaded = mapped.value()->to_log();
+    expect_same_records(loaded, streamed.value()->to_log());
+
+    EXPECT_EQ(report::render_study_text(loaded, analysis::run_study(loaded, {}).value()),
+              report::render_study_text(log, analysis::run_study(log, {}).value()))
+        << log.spec().name;
+    EXPECT_EQ(write_log_csv(loaded), csv) << log.spec().name;
+  }
 }
 
 TEST(ColumnarFile, SniffDetectsSnapshots) {

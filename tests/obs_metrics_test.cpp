@@ -11,8 +11,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <map>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "obs/obs.h"
@@ -204,29 +207,65 @@ TEST(HistogramQuantile, EmptyHistogramIsZero) {
 }
 
 TEST_F(MetricsTest, ExemplarCaptureIsExactUnderContention) {
-  // Eight threads hammer one exemplar-enabled histogram, each inside its
-  // own span.  The total count must be exact (exemplar capture never
-  // drops or double-counts observations) and every captured exemplar
-  // must carry one of the eight span trace ids whole — a torn seqlock
-  // read would surface as an id outside the set (or 0 with a nonzero
-  // observation recorded under a live span).
+  // Eight threads hammer one exemplar-enabled histogram, each observation
+  // inside its own span, while a snapshot thread keeps collecting.  The
+  // total count must be exact (exemplar capture never drops or
+  // double-counts observations), and every exemplar any snapshot returned
+  // must be a (value, trace id) pair one writer recorded together.  Each
+  // observed value is unique and rises per thread and bucket, so every
+  // observation rewrites its cell, and a torn seqlock read would pair one
+  // observation's value with another's trace id.
   const double bounds[] = {0.01, 0.1, 1.0};
   Histogram contended = histogram("test.contended", bounds, ExemplarMode::kMaxPerBucket);
   constexpr std::size_t kThreads = 8;
   constexpr std::size_t kPerThread = 5000;
-  const double values[] = {0.005, 0.05, 0.5, 5.0};  // one per bucket incl. +Inf
+  const double bases[] = {0.005, 0.05, 0.5, 5.0};  // one per bucket incl. +Inf
 
-  std::vector<std::uint64_t> ids(kThreads, 0);
+  std::atomic<std::size_t> running{kThreads};
+  std::vector<HistogramValue::Exemplar> seen;
+  std::thread snapshotter([&] {
+    do {
+      const auto snapshot = collect_metrics();
+      if (const auto* h = snapshot.find_histogram("test.contended"))
+        seen.insert(seen.end(), h->exemplars.begin(), h->exemplars.end());
+    } while (running.load() > 0);
+  });
+
+  // recorded[t]: the (value, trace id) pairs thread t observed.
+  std::vector<std::vector<std::pair<double, std::uint64_t>>> recorded(kThreads);
   std::vector<std::thread> workers;
   for (std::size_t t = 0; t < kThreads; ++t) {
     workers.emplace_back([&, t] {
-      SpanScope span("contended.worker");
-      ids[t] = current_trace_id();
-      for (std::size_t i = 0; i < kPerThread; ++i)
-        contended.observe(values[(t + i) % 4]);
+      recorded[t].reserve(kPerThread);
+      for (std::size_t i = 0; i < kPerThread; ++i) {
+        SpanScope span("contended.observe");
+        const double value = bases[(t + i) % 4] + static_cast<double>(i * kThreads + t + 1) * 1e-9;
+        contended.observe(value);
+        recorded[t].emplace_back(value, span.trace_id());
+      }
+      running.fetch_sub(1);
     });
   }
   for (auto& worker : workers) worker.join();
+  snapshotter.join();
+
+  std::map<double, std::uint64_t> trace_of;
+  for (const auto& pairs : recorded) {
+    for (const auto& [value, trace_id] : pairs) {
+      ASSERT_NE(trace_id, 0u);
+      ASSERT_TRUE(trace_of.emplace(value, trace_id).second) << "value reused: " << value;
+    }
+  }
+  const auto expect_recorded_pair = [&](const HistogramValue::Exemplar& exemplar,
+                                        const HistogramValue& h) {
+    const auto it = trace_of.find(exemplar.value);
+    ASSERT_NE(it, trace_of.end()) << "value never observed: " << exemplar.value;
+    EXPECT_EQ(exemplar.trace_id, it->second) << "torn exemplar at value " << exemplar.value;
+    ASSERT_LT(exemplar.bucket, h.counts.size());
+    if (exemplar.bucket < h.bounds.size()) {
+      EXPECT_LE(exemplar.value, h.bounds[exemplar.bucket]);
+    }
+  };
 
   const auto snapshot = collect_metrics();
   const auto* h = snapshot.find_histogram("test.contended");
@@ -238,20 +277,11 @@ TEST_F(MetricsTest, ExemplarCaptureIsExactUnderContention) {
 
   ASSERT_FALSE(h->exemplars.empty());
   for (const auto& exemplar : h->exemplars) {
-    bool known = false;
-    for (std::uint64_t id : ids) known = known || exemplar.trace_id == id;
-    EXPECT_TRUE(known) << "torn or foreign trace id " << exemplar.trace_id;
-    // The captured value must be one the threads actually observed, and
-    // must belong to the bucket the exemplar claims.
-    bool observed = false;
-    for (double v : values) observed = observed || exemplar.value == v;
-    EXPECT_TRUE(observed) << exemplar.value;
-    ASSERT_LT(exemplar.bucket, h->counts.size());
-    if (exemplar.bucket < h->bounds.size()) {
-      EXPECT_LE(exemplar.value, h->bounds[exemplar.bucket]);
-    }
+    expect_recorded_pair(exemplar, *h);
     EXPECT_EQ(exemplar.window, exemplar_window());
   }
+  EXPECT_FALSE(seen.empty());
+  for (const auto& exemplar : seen) expect_recorded_pair(exemplar, *h);
 }
 
 TEST_F(MetricsTest, AdvancingTheWindowRetiresStaleExemplars) {

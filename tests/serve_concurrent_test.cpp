@@ -2,7 +2,9 @@
 // ingest/seal/query threads against one FleetService (snapshot isolation
 // means readers never see a torn view and the final state is exactly the
 // batch answer), plus the TCP front-end: real connects, slow clients,
-// and abrupt disconnects must never wedge the daemon or poison a tenant.
+// and abrupt disconnects must never wedge the daemon or poison a tenant,
+// and a replay over a real socket answers exactly what batch analysis
+// does.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -13,11 +15,13 @@
 #include <atomic>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "analysis/study.h"
 #include "data/log_io.h"
 #include "report/study_text.h"
+#include "serve/client.h"
 #include "serve/server.h"
 #include "serve/service.h"
 #include "sim/generator.h"
@@ -258,6 +262,45 @@ TEST(ServeServer, ServesManyClientsAndSurvivesAbruptDisconnects) {
   }
 
   server.value()->stop();  // joins every thread; second stop is a no-op
+  server.value()->stop();
+}
+
+TEST(ServeServer, TwoEpochReplayOverTcpMatchesBatchAnalyze) {
+  FleetService service(replay_service_config());
+  auto server = Server::start(service, {});
+  ASSERT_TRUE(server.ok()) << server.error().to_string();
+  LineClient client;
+  ASSERT_TRUE(client.connect("127.0.0.1", std::to_string(server.value()->port())).ok());
+
+  for (const data::Machine machine : {data::Machine::kTsubame2, data::Machine::kTsubame3}) {
+    const data::FailureLog log = generated(machine);
+    const bool t2 = machine == data::Machine::kTsubame2;
+    const std::string tenant = t2 ? "tcp-t2" : "tcp-t3";
+    ASSERT_TRUE(client.simple("OPEN " + tenant + (t2 ? " tsubame-2" : " tsubame-3")).ok());
+
+    // Two sealed epochs, so the final snapshot exists only through the
+    // incremental merge.  EVENT is silent on success, so each half rides
+    // in front of its SEAL and the SEAL's reply is the next line read; a
+    // rejected row would surface there as an ERR.
+    const auto rows = csv_rows(log);
+    const std::size_t half = rows.size() / 2;
+    for (const auto& [begin, end] :
+         {std::pair{std::size_t{0}, half}, std::pair{half, rows.size()}}) {
+      std::string batch;
+      for (std::size_t i = begin; i < end; ++i) batch += "EVENT " + tenant + " " + rows[i] + "\n";
+      const auto sealed = client.simple(batch + "SEAL " + tenant);
+      ASSERT_TRUE(sealed.ok()) << sealed.error().to_string();
+    }
+
+    const std::string expected = batch_study_text(log);
+    for (const char* pass : {"first", "cached"}) {
+      const auto study = client.framed("QUERY " + tenant + " study");
+      ASSERT_TRUE(study.ok()) << study.error().to_string();
+      EXPECT_EQ(study.value(), expected) << tenant << ", " << pass << " query";
+    }
+  }
+  EXPECT_EQ(service.cache_stats().hits, 2u);  // each tenant's second query
+  EXPECT_TRUE(client.simple("QUIT").ok());
   server.value()->stop();
 }
 

@@ -70,44 +70,50 @@ ServiceConfig replay_service_config() {
 }
 
 TEST(FleetService, EpochMergedQueryMatchesBatchAnalyze) {
-  const auto log = generated(data::Machine::kTsubame2);
-  const auto rows = csv_rows(log);
+  for (const data::Machine machine : {data::Machine::kTsubame2, data::Machine::kTsubame3}) {
+    const auto log = generated(machine);
+    const auto rows = csv_rows(log);
+    const bool t2 = machine == data::Machine::kTsubame2;
+    const std::string tenant = t2 ? "t2" : "t3";
+    SCOPED_TRACE(tenant);
 
-  FleetService service(replay_service_config());
-  ASSERT_TRUE(service.open_tenant("t2", data::tsubame2_spec()).ok());
+    FleetService service(replay_service_config());
+    ASSERT_TRUE(
+        service.open_tenant(tenant, t2 ? data::tsubame2_spec() : data::tsubame3_spec()).ok());
 
-  // Two sealed epochs: the final snapshot only exists via delta-merge.
-  const std::size_t half = rows.size() / 2;
-  for (std::size_t i = 0; i < half; ++i)
-    ASSERT_TRUE(service.ingest_row("t2", rows[i]).ok()) << rows[i];
-  ASSERT_TRUE(service.seal("t2").ok());
-  for (std::size_t i = half; i < rows.size(); ++i)
-    ASSERT_TRUE(service.ingest_row("t2", rows[i]).ok()) << rows[i];
-  const auto epoch = service.seal("t2");
-  ASSERT_TRUE(epoch.ok());
-  EXPECT_EQ(epoch.value(), 2u);
+    // Two sealed epochs: the final snapshot only exists via delta-merge.
+    const std::size_t half = rows.size() / 2;
+    for (std::size_t i = 0; i < half; ++i)
+      ASSERT_TRUE(service.ingest_row(tenant, rows[i]).ok()) << rows[i];
+    ASSERT_TRUE(service.seal(tenant).ok());
+    for (std::size_t i = half; i < rows.size(); ++i)
+      ASSERT_TRUE(service.ingest_row(tenant, rows[i]).ok()) << rows[i];
+    const auto epoch = service.seal(tenant);
+    ASSERT_TRUE(epoch.ok());
+    EXPECT_EQ(epoch.value(), 2u);
 
-  const auto replayed = round_tripped(log);
-  const auto study = service.query("t2", "study");
-  ASSERT_TRUE(study.ok()) << study.error().to_string();
-  EXPECT_EQ(study.value().epoch, 2u);
-  EXPECT_FALSE(study.value().cached);
-  EXPECT_EQ(study.value().text, batch_study_text(replayed));
+    const auto replayed = round_tripped(log);
+    const auto study = service.query(tenant, "study");
+    ASSERT_TRUE(study.ok()) << study.error().to_string();
+    EXPECT_EQ(study.value().epoch, 2u);
+    EXPECT_FALSE(study.value().cached);
+    EXPECT_EQ(study.value().text, batch_study_text(replayed));
 
-  // Non-study keys go through analysis::run_query on the merged index.
-  const data::LogIndex index(replayed);
-  for (const auto& key : analysis::query_keys()) {
-    const auto got = service.query("t2", key.key);
-    ASSERT_TRUE(got.ok()) << key.key << ": " << got.error().to_string();
-    EXPECT_EQ(got.value().text, analysis::run_query(key.key, index).value())
-        << key.key;
+    // Non-study keys go through analysis::run_query on the merged index.
+    const data::LogIndex index(replayed);
+    for (const auto& key : analysis::query_keys()) {
+      const auto got = service.query(tenant, key.key);
+      ASSERT_TRUE(got.ok()) << key.key << ": " << got.error().to_string();
+      EXPECT_EQ(got.value().text, analysis::run_query(key.key, index).value())
+          << key.key;
+    }
+
+    const auto stats = service.tenant_stats(tenant);
+    ASSERT_TRUE(stats.ok());
+    EXPECT_EQ(stats.value().records, log.size());
+    EXPECT_EQ(stats.value().sealed_pending, 0u);
+    EXPECT_EQ(stats.value().stream.released, log.size());
   }
-
-  const auto stats = service.tenant_stats("t2");
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats.value().records, log.size());
-  EXPECT_EQ(stats.value().sealed_pending, 0u);
-  EXPECT_EQ(stats.value().stream.released, log.size());
 }
 
 TEST(FleetService, EpochBumpInvalidatesCachedQueries) {

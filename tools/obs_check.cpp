@@ -1,5 +1,5 @@
 // obs_check: structural validator for tsufail::obs exports, used by the
-// CI bench-smoke / serve-smoke jobs and handy interactively.
+// CI release-smoke / serve-smoke jobs and handy interactively.
 //
 //   $ obs_check --trace trace.json        # Chrome-trace structure
 //   $ obs_check --metrics metrics.prom    # Prometheus exposition
